@@ -1,9 +1,8 @@
 //! A2 — checker ablation: branch-and-bound vs exhaustive grid enumeration
-//! on identical P2 queries, plus the two-tier/parallel arms
-//! (`screened`, `parallel`, `screened+parallel` — DESIGN.md §6–§7). All
-//! variants are exact; the bench quantifies the gap that motivates
-//! symbolic/abstraction-based checking (paper §III-B) and the speedup the
-//! screening/parallel tiers recover.
+//! on identical P2 queries, plus the interval-screened arm (`screened` —
+//! DESIGN.md §6). All variants are exact; the bench quantifies the gap
+//! that motivates symbolic/abstraction-based checking (paper §III-B) and
+//! the speedup the screening tier recovers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fannet_bench::{paper_study, paper_test_inputs};
@@ -76,31 +75,25 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Two-tier / parallel arms on the same queries (identical outcomes;
+    // The interval-screened arm on the same queries (identical outcomes;
     // only wall clock differs — cross-validated in the test suite).
-    let arms: [(&str, CheckerConfig); 3] = [
-        ("screened", CheckerConfig::screened()),
-        ("parallel", CheckerConfig::parallel()),
-        ("screened_parallel", CheckerConfig::fast()),
-    ];
+    let screened = CheckerConfig::screened();
     for delta in [11i64, 15, 25, 50] {
         let region = NoiseRegion::symmetric(delta, 5);
-        for (name, config) in &arms {
-            group.bench_with_input(BenchmarkId::new(*name, delta), &region, |b, region| {
-                b.iter(|| {
-                    black_box(
-                        find_counterexample_with(
-                            &cs.exact_net,
-                            &inputs[idx],
-                            labels[idx],
-                            region,
-                            config,
-                        )
-                        .expect("widths match"),
+        group.bench_with_input(BenchmarkId::new("screened", delta), &region, |b, region| {
+            b.iter(|| {
+                black_box(
+                    find_counterexample_with(
+                        &cs.exact_net,
+                        &inputs[idx],
+                        labels[idx],
+                        region,
+                        &screened,
                     )
-                });
+                    .expect("widths match"),
+                )
             });
-        }
+        });
     }
 
     group.finish();

@@ -7,9 +7,12 @@
 //! ```
 //!
 //! With `--bench-json <path>` the binary instead runs only the
-//! checker-ablation benchmark (A2 plus the screened/parallel arms) and
+//! checker-ablation benchmark (A2 plus the screening-tier arms) and
 //! writes the timings as JSON, so per-PR `BENCH_*.json` trajectories can
 //! be recorded without paying for the full experiment regeneration.
+//!
+//! Log records below `warn` are dropped, so the in-process servers'
+//! connection records stay out of the printed tables.
 
 use fannet_bench::paper_study;
 use fannet_core::pipeline::{self, AnalysisConfig};
@@ -159,12 +162,14 @@ struct QueueAttributionRow {
     requests: usize,
     /// Wall time of the arm.
     seconds: f64,
-    /// Sum of per-request front-end queue waits (`trace.queue_ns`).
-    queue_ns_total: u64,
-    /// Sum of per-request solver wall times (`trace.wall_ns`).
-    solver_wall_ns_total: u64,
-    /// `queue_ns_total / (queue_ns_total + solver_wall_ns_total)` — the
-    /// share of accounted per-request time spent waiting for a worker.
+    /// Mean front-end queue wait per request (`trace.queue_ns`), in ms.
+    /// Pipelined requests wait concurrently, so these waits overlap and
+    /// their sum can exceed the arm's wall time; the mean does not.
+    queue_ms_per_request: f64,
+    /// Mean solver wall time per request (`trace.wall_ns`), in ms.
+    solver_ms_per_request: f64,
+    /// `queue / (queue + solver)` over the arm's requests — the share
+    /// of accounted per-request time spent waiting for a worker.
     queue_share: f64,
 }
 
@@ -223,23 +228,6 @@ struct BatchPropagationRow {
     search_stats: BabStats,
 }
 
-/// One arm of the budgeted-parallel benchmark (DESIGN.md §16): the
-/// joint (δ, ε) tolerance frontier probed at 1/2/4 worker threads.
-/// The speculate-then-replay search is deterministic by construction,
-/// so the certified ε, every probe verdict and the merged counters are
-/// asserted bit-identical across thread counts before recording.
-#[derive(Serialize)]
-struct BudgetedParallelRow {
-    threads: usize,
-    /// Symmetric input-noise radius (±δ%) of the frontier probe.
-    delta: i64,
-    seconds: f64,
-    /// The certified joint tolerance ε (exact rational, as text).
-    robust_eps: Option<String>,
-    boxes_visited: u64,
-    stats: FaultStats,
-}
-
 /// The `--bench-json` document.
 ///
 /// The `checker_ablation` and `fault_ablation` tables double as the
@@ -255,7 +243,6 @@ struct AblationReport {
     fault_ablation: Vec<FaultAblationRow>,
     joint_ablation: Vec<JointAblationRow>,
     batch_propagation: Vec<BatchPropagationRow>,
-    budgeted_parallel: Vec<BudgetedParallelRow>,
     engine_throughput: EngineThroughputReport,
     server_throughput: ServerThroughputReport,
     queue_attribution: Vec<QueueAttributionRow>,
@@ -268,12 +255,10 @@ fn checker_ablation_rows(deltas: &[i64]) -> Vec<AblationRow> {
     let inputs = fannet_bench::paper_test_inputs();
     let labels = cs.test5.labels();
     let idx = 6; // robust input: every variant must cover the whole grid
-    let variants: [(&'static str, CheckerConfig); 5] = [
+    let variants: [(&'static str, CheckerConfig); 3] = [
         ("serial_exact", CheckerConfig::serial_exact()),
         ("screened", CheckerConfig::screened()),
         ("cascade", CheckerConfig::cascade()),
-        ("parallel", CheckerConfig::parallel()),
-        ("cascade_parallel", CheckerConfig::fast()),
     ];
     let mut rows = Vec::new();
     for &delta in deltas {
@@ -695,58 +680,6 @@ fn batch_propagation_rows(deltas: &[i64]) -> Vec<BatchPropagationRow> {
     rows
 }
 
-/// The budgeted-parallel benchmark (the PR-6 tentpole, search side):
-/// the joint (δ, ε) tolerance frontier — a bisection of budgeted
-/// product-domain searches — probed with 1, 2 and 4 worker threads.
-/// The budgeted search speculates in parallel but replays serially, so
-/// the certified ε, every probe verdict and the merged counters are
-/// bit-identical across thread counts by construction; each multi-thread
-/// arm is asserted equal to the serial arm before its row is recorded.
-fn budgeted_parallel_rows() -> Vec<BudgetedParallelRow> {
-    use fannet_faults::{JointChecker, ToleranceSearch};
-    let cs = paper_study();
-    let inputs = fannet_bench::paper_test_inputs();
-    let labels = cs.test5.labels();
-    let idx = 6;
-    let delta = 2;
-    let search = ToleranceSearch::new(50, 10);
-    let mut rows = Vec::new();
-    let mut baseline = None;
-    for threads in [1usize, 2, 4] {
-        let checker = JointChecker::new(cs.exact_net.clone(), FaultCheckerConfig::default())
-            .with_threads(threads);
-        let t = Instant::now();
-        let (tolerance, stats) = checker
-            .tolerance(&inputs[idx], labels[idx], delta, &search)
-            .expect("valid query");
-        let seconds = t.elapsed().as_secs_f64();
-        match &baseline {
-            None => baseline = Some((tolerance.clone(), stats)),
-            Some((serial_tolerance, serial_stats)) => {
-                assert_eq!(
-                    &tolerance, serial_tolerance,
-                    "budgeted search at {threads} threads certified a different \
-                     joint tolerance than the serial search"
-                );
-                assert_eq!(
-                    &stats, serial_stats,
-                    "budgeted search at {threads} threads visited a different \
-                     frontier than the serial search"
-                );
-            }
-        }
-        rows.push(BudgetedParallelRow {
-            threads,
-            delta,
-            seconds,
-            robust_eps: tolerance.robust_eps.as_ref().map(ToString::to_string),
-            boxes_visited: stats.boxes_visited,
-            stats,
-        });
-    }
-    rows
-}
-
 /// The engine-throughput batch: ≥ 50 mixed tolerance/check queries over
 /// the trained 5–20–2 case-study network, answered three ways — cold
 /// serial-exact, cold screened, and through one resident engine — with
@@ -1013,8 +946,8 @@ fn server_throughput_report() -> ServerThroughputReport {
 /// each response's trace carries the front end's `queue_ns` stamp.
 /// Verdicts are asserted identical to an untraced single-worker
 /// reference — attribution must observe scheduling, never change
-/// answers — and each arm books the queue-wait share of the accounted
-/// per-request time (queue wait vs solver wall time).
+/// answers — and each arm books the mean queue wait and solver wall
+/// time per request plus the queue-wait share of their sum.
 fn queue_attribution_report() -> Vec<QueueAttributionRow> {
     let cs = paper_study();
     let inputs = fannet_bench::paper_test_inputs();
@@ -1127,13 +1060,14 @@ fn queue_attribution_report() -> Vec<QueueAttributionRow> {
                 solver_wall_ns_total += field(line, "\"wall_ns\":");
             }
         }
+        let answered = connections * requests;
         let accounted = (queue_ns_total + solver_wall_ns_total).max(1);
         rows.push(QueueAttributionRow {
             connections,
-            requests: connections * requests,
+            requests: answered,
             seconds,
-            queue_ns_total,
-            solver_wall_ns_total,
+            queue_ms_per_request: queue_ns_total as f64 / 1e6 / answered as f64,
+            solver_ms_per_request: solver_wall_ns_total as f64 / 1e6 / answered as f64,
             queue_share: queue_ns_total as f64 / accounted as f64,
         });
     }
@@ -1142,7 +1076,7 @@ fn queue_attribution_report() -> Vec<QueueAttributionRow> {
 
 /// `--bench-json` mode: run the ablation, print a table, write JSON.
 fn run_bench_json(path: &str) {
-    println!("checker ablation (screening tiers × parallel search)");
+    println!("checker ablation (screening tiers)");
     let rows = checker_ablation_rows(&[5, 11, 15, 25, 50]);
     let mut serial_time = 0.0;
     for row in &rows {
@@ -1263,20 +1197,6 @@ fn run_bench_json(path: &str) {
         );
     }
 
-    println!("\nbudgeted parallel (joint tolerance frontier, speculate-then-replay)");
-    let budgeted = budgeted_parallel_rows();
-    let serial_seconds = budgeted[0].seconds;
-    for row in &budgeted {
-        println!(
-            "{} threads: {:>8.1}ms  ({:.2}x, eps {}, {} boxes)",
-            row.threads,
-            row.seconds * 1e3,
-            serial_seconds / row.seconds.max(f64::EPSILON),
-            row.robust_eps.as_deref().unwrap_or("-"),
-            row.boxes_visited,
-        );
-    }
-
     println!("\nengine throughput (resident verdict cache vs cold per-query starts)");
     let engine = engine_throughput_report();
     println!(
@@ -1331,17 +1251,19 @@ fn run_bench_json(path: &str) {
         );
     }
 
-    println!("\nqueue attribution (traced mixed load: queue-wait share of request time)");
+    println!(
+        "\nqueue attribution (traced mixed load: mean queue wait and solver time per request)"
+    );
     let queue = queue_attribution_report();
     for row in &queue {
         println!(
-            "{:>2} connections: {:>4} requests  {:>8.1}ms  queued {:>8.1}ms  \
-             solver {:>8.1}ms  ({:>5.1}% of accounted time in queue)",
+            "{:>2} connections: {:>4} requests  {:>8.1}ms  per request: queued {:>7.2}ms  \
+             solver {:>7.2}ms  ({:>5.1}% of accounted time in queue)",
             row.connections,
             row.requests,
             row.seconds * 1e3,
-            row.queue_ns_total as f64 / 1e6,
-            row.solver_wall_ns_total as f64 / 1e6,
+            row.queue_ms_per_request,
+            row.solver_ms_per_request,
             100.0 * row.queue_share,
         );
     }
@@ -1353,7 +1275,6 @@ fn run_bench_json(path: &str) {
         fault_ablation: fault,
         joint_ablation: joint,
         batch_propagation: batch,
-        budgeted_parallel: budgeted,
         engine_throughput: engine,
         server_throughput: server,
         queue_attribution: queue,
@@ -1364,6 +1285,7 @@ fn run_bench_json(path: &str) {
 }
 
 fn main() {
+    fannet_obs::set_level(fannet_obs::Level::Warn);
     let args: Vec<String> = std::env::args().collect();
     if let Some(pos) = args.iter().position(|a| a == "--bench-json") {
         let Some(path) = args.get(pos + 1) else {

@@ -70,8 +70,8 @@ impl Default for AnalysisConfig {
             extraction_delta: None,
             per_input_cap: 60,
             near_threshold: 15,
-            // Per-input fan-out saturates the cores, so each individual
-            // query stays single-threaded; the cascade routes each box
+            // Per-input fan-out saturates the cores (each query is one
+            // serial search); the cascade routes each box
             // through the cheapest screen that can decide it (interval →
             // zonotope → exact), which is what keeps the wide-delta
             // sweep rows affordable.

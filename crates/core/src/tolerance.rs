@@ -235,9 +235,9 @@ pub fn analyze(
 ///
 /// The report is identical to the serial one (probes are exact under every
 /// configuration and inputs are independent); only wall-clock changes.
-/// Per-input parallelism composes with — but usually replaces — per-query
-/// parallelism: with many inputs, one serial screened probe per worker
-/// saturates all cores without oversubscription, so the typical call is
+/// This is where the cores go: every probe is one serial search, and
+/// with many inputs one probe per worker saturates all cores, so the
+/// typical call is
 /// `par_analyze(.., &CheckerConfig::screened(), default_threads())`.
 ///
 /// # Panics

@@ -34,30 +34,21 @@ use crate::stats::EngineStats;
 /// How an engine runs its solver and bounds its cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Tiers/threads of every solver run the engine performs.
+    /// Screening tiers of every solver run the engine performs.
     pub checker: CheckerConfig,
     /// LRU bound of the verdict cache (entries, not bytes).
     pub cache_capacity: usize,
 }
 
 impl EngineConfig {
-    /// Serving preset: screened single-threaded solver runs, so
-    /// parallelism can be spent one level up, across independent requests
-    /// (the same division of labour as `fannet_core`'s per-input layer).
+    /// Serving preset: interval-screened solver runs and 4096 cached
+    /// verdicts. Every solver run is serial; callers spend cores across
+    /// independent requests (the same division of labour as
+    /// `fannet_core`'s per-input layer).
     #[must_use]
     pub fn serving() -> Self {
         EngineConfig {
             checker: CheckerConfig::screened(),
-            cache_capacity: 4096,
-        }
-    }
-}
-
-impl Default for EngineConfig {
-    /// Screened solver with all cores per query, 4096 cached verdicts.
-    fn default() -> Self {
-        EngineConfig {
-            checker: CheckerConfig::fast(),
             cache_capacity: 4096,
         }
     }
@@ -115,10 +106,8 @@ pub struct Engine {
     /// Cumulative branch-and-bound counters across every solver run.
     solver_stats: Mutex<BabStats>,
     /// The resident weight-fault checker (DESIGN.md §11); runs the
-    /// deterministic default [`FaultCheckerConfig`] with the engine's
-    /// thread count — the budgeted search replays deterministically, so
-    /// cold `FaultChecker` runs reproduce engine answers bit for bit at
-    /// any thread count.
+    /// deterministic default [`FaultCheckerConfig`], so cold
+    /// `FaultChecker` runs reproduce engine answers bit for bit.
     faults: FaultChecker,
     fault_cache: Mutex<FaultVerdictCache>,
     /// Cumulative fault-checker counters across every cold fault run.
@@ -166,13 +155,8 @@ impl Engine {
         let cache = VerdictCache::new(config.cache_capacity);
         let fault_cache = FaultVerdictCache::new(config.cache_capacity);
         let joint_cache = JointVerdictCache::new(config.cache_capacity);
-        // The budgeted search replays speculation deterministically, so
-        // threading the fault/joint checkers keeps their answers (and
-        // counters) bit-identical to single-threaded cold runs.
-        let faults = FaultChecker::new(net.clone(), FaultCheckerConfig::default())
-            .with_threads(config.checker.threads);
-        let joint = JointChecker::new(net.clone(), FaultCheckerConfig::default())
-            .with_threads(config.checker.threads);
+        let faults = FaultChecker::new(net.clone(), FaultCheckerConfig::default());
+        let joint = JointChecker::new(net.clone(), FaultCheckerConfig::default());
         Engine {
             net,
             fingerprint: fp,

@@ -171,10 +171,6 @@ impl FaultOutcome {
 pub struct FaultChecker {
     net: Network<Rational>,
     config: FaultCheckerConfig,
-    /// Worker-thread count of the budgeted search (not part of
-    /// [`FaultCheckerConfig`], which is serialized — threading is a
-    /// host property, not a query property).
-    threads: usize,
 }
 
 impl FaultChecker {
@@ -185,21 +181,7 @@ impl FaultChecker {
     /// crashing at startup.
     #[must_use]
     pub fn new(net: Network<Rational>, config: FaultCheckerConfig) -> Self {
-        FaultChecker {
-            net,
-            config,
-            threads: 1,
-        }
-    }
-
-    /// Overrides the worker-thread count (`0` is clamped to 1). With
-    /// more than one thread the budgeted search speculates in parallel
-    /// and replays deterministically, so verdicts, witnesses **and
-    /// stats** are bit-identical to the serial search at any count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        FaultChecker { net, config }
     }
 
     /// The verified network.
@@ -315,12 +297,8 @@ impl FaultChecker {
             max_depth: self.config.max_depth,
             cascade: tiers.cascade().with_timer(timer),
         };
-        let (outcome, search_stats) = fannet_search::search_with_threads(
-            &domain,
-            root,
-            self.threads,
-            Some(self.config.max_boxes),
-        );
+        let (outcome, search_stats) =
+            fannet_search::search_serial(&domain, root, Some(self.config.max_boxes));
         stats.merge(&search_stats);
         Ok((fault_outcome(outcome), stats))
     }
@@ -913,31 +891,6 @@ mod tests {
         assert_eq!(witness.expected, 0);
         assert_eq!(witness.predicted, 1);
         assert!(witness.description.contains("fault bound"));
-    }
-
-    #[test]
-    fn threaded_fault_checks_are_bit_identical_to_serial() {
-        let x = [r(100), r(82)];
-        for screening in [ScreeningTier::None, ScreeningTier::Cascade] {
-            let config = FaultCheckerConfig::default().with_screening(screening);
-            let serial = FaultChecker::new(comparator(), config.clone());
-            for eps_numer in [2i128, 9, 11, 20] {
-                let model = FaultModel::WeightNoise {
-                    rel_eps: rq(eps_numer, 100),
-                };
-                let (want, want_stats) = serial.check(&x, 0, &model).unwrap();
-                for threads in [2usize, 4] {
-                    let threaded =
-                        FaultChecker::new(comparator(), config.clone()).with_threads(threads);
-                    let (got, got_stats) = threaded.check(&x, 0, &model).unwrap();
-                    assert_eq!(got, want, "verdict at ε={eps_numer}/100 threads={threads}");
-                    assert_eq!(
-                        got_stats, want_stats,
-                        "stats at ε={eps_numer}/100 threads={threads}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl ProductRegion {
     /// single-factor domains). Ties prefer the noise factor, and a
     /// point factor falls back to the other, so the choice is a pure
     /// deterministic function of the region — the search stays
-    /// scheduling-independent and cache-replayable (DESIGN.md §12).
+    /// deterministic and cache-replayable (DESIGN.md §12).
     ///
     /// Returns `None` when both factors are points.
     #[must_use]
@@ -190,9 +190,6 @@ impl JointOutcome {
 pub struct JointChecker {
     net: Network<Rational>,
     config: FaultCheckerConfig,
-    /// Worker-thread count of the budgeted search (a host property —
-    /// deliberately not part of the serialized config).
-    threads: usize,
 }
 
 impl JointChecker {
@@ -200,21 +197,7 @@ impl JointChecker {
     /// [`crate::FaultChecker::new`] for the rationale).
     #[must_use]
     pub fn new(net: Network<Rational>, config: FaultCheckerConfig) -> Self {
-        JointChecker {
-            net,
-            config,
-            threads: 1,
-        }
-    }
-
-    /// Overrides the worker-thread count (`0` is clamped to 1): the
-    /// budgeted search speculates in parallel and replays
-    /// deterministically, so every joint verdict, witness and counter
-    /// is bit-identical to the serial search at any thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        JointChecker { net, config }
     }
 
     /// The verified network.
@@ -297,12 +280,8 @@ impl JointChecker {
             cascade: tiers.cascade().with_timer(timer),
         };
         let root = ProductRegion::new(noise.clone(), fault_root);
-        let (outcome, search_stats) = fannet_search::search_with_threads(
-            &domain,
-            root,
-            self.threads,
-            Some(self.config.max_boxes),
-        );
+        let (outcome, search_stats) =
+            fannet_search::search_serial(&domain, root, Some(self.config.max_boxes));
         stats.merge(&search_stats);
         Ok((
             match outcome {
@@ -694,37 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_joint_checks_are_bit_identical_to_serial() {
-        let x = [r(100), r(82)];
-        for screening in [ScreeningTier::None, ScreeningTier::Cascade] {
-            let config = FaultCheckerConfig::default().with_screening(screening);
-            let serial = JointChecker::new(comparator(), config.clone());
-            for delta in [0i64, 3, 6] {
-                for eps_numer in [2i128, 8, 12] {
-                    let noise = NoiseRegion::symmetric(delta, 2);
-                    let model = FaultModel::WeightNoise {
-                        rel_eps: rq(eps_numer, 100),
-                    };
-                    let (want, want_stats) = serial.check(&x, 0, &noise, &model).unwrap();
-                    for threads in [2usize, 4] {
-                        let threaded =
-                            JointChecker::new(comparator(), config.clone()).with_threads(threads);
-                        let (got, got_stats) = threaded.check(&x, 0, &noise, &model).unwrap();
-                        assert_eq!(
-                            got, want,
-                            "verdict at δ={delta} ε={eps_numer}/100 threads={threads}"
-                        );
-                        assert_eq!(
-                            got_stats, want_stats,
-                            "stats at δ={delta} ε={eps_numer}/100 threads={threads}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn zero_delta_matches_the_plain_fault_checker() {
         let joint = checker();
         let fault = FaultChecker::new(comparator(), FaultCheckerConfig::default());
@@ -849,7 +797,7 @@ mod tests {
         // Down an entire refinement cascade the chosen factor must (a)
         // be reproducible call-to-call and (b) always be the one with
         // the maximal normalized width (modulo point fallback) — the
-        // invariance that keeps budgeted replay deterministic.
+        // invariance that keeps cached joint verdicts replayable.
         let net = comparator();
         let fault =
             FaultRegion::lift(&net, &FaultModel::WeightNoise { rel_eps: rq(1, 10) }).unwrap();

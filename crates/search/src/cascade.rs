@@ -93,7 +93,7 @@ pub enum TierKind {
 /// Incompleteness is free (a weaker tier just falls through); a single
 /// unsound verdict breaks the whole search, so each implementation
 /// carries its own enclosure proof (DESIGN.md §6/§10/§11).
-pub trait Classifier<R: ?Sized>: Sync {
+pub trait Classifier<R: ?Sized> {
     /// Which counters this tier's verdicts feed.
     fn tier(&self) -> TierKind;
 

@@ -73,7 +73,7 @@ impl<W> SearchOutcome<W> {
 /// * **Canonical first witness** — within one box, the witness returned
 ///   is the canonically (lexicographically) first one; combined with
 ///   left-before-right splits this pins the global witness across
-///   serial, screened and parallel runs.
+///   every screening configuration.
 /// * **Conservative splits** — [`BoxDecision::Split`] halves must cover
 ///   the parent's concretization exactly, left half canonically first.
 ///   Termination is the domain's duty: splits must strictly shrink
@@ -84,22 +84,23 @@ impl<W> SearchOutcome<W> {
 ///   abandoned boxes never book a split.
 /// * **Purity** — the decision (and every counter it books) is a pure
 ///   function of `(region, depth)`; `scratch` is reusable buffer space
-///   only and must never influence the result. The budgeted parallel
-///   search relies on this to replay speculatively-computed decisions
-///   bit for bit ([`crate::search_budgeted`]).
-pub trait SearchDomain: Sync {
+///   only and must never influence the result. One workspace serves
+///   every box of a search, so nothing one box leaves in it may change
+///   the next box's decision, and resident caches (`fannet-engine`)
+///   rely on repeated queries reproducing the cold answer bit for bit.
+pub trait SearchDomain {
     /// The box type explored (clone-cheap: splits clone the parent).
-    type Region: Clone + Send;
+    type Region: Clone;
     /// The witness type produced (e.g. an exact counterexample record).
-    type Witness: Send;
+    type Witness;
     /// Screening work precomputed for a whole *batch* of frontier boxes
     /// at once ([`SearchDomain::prepare_batch`]); `()` for domains that
     /// never batch.
     type Prepared;
-    /// Reusable per-worker workspace threaded through every `decide`
-    /// call so hot propagation paths stop allocating per box; `()` for
-    /// domains without one. Each search loop (and each parallel worker)
-    /// owns exactly one, created via `Default`.
+    /// Reusable workspace threaded through every `decide` call so hot
+    /// propagation paths stop allocating per box; `()` for domains
+    /// without one. Each search loop owns exactly one, created via
+    /// `Default`.
     type Scratch: Default;
 
     /// How many frontier boxes [`SearchDomain::prepare_batch`] wants per

@@ -10,9 +10,9 @@
 //! 2. prune boxes proven uniformly correct, stop on boxes proven
 //!    uniformly wrong (with a concrete witness), split the rest
 //!    ([`SearchDomain::decide`], [`BoxDecision`]);
-//! 3. explore the box tree serially ([`search_serial`]) or with
-//!    work-stealing workers whose path keys reproduce the serial
-//!    first-witness order exactly ([`search_parallel`]);
+//! 3. explore the box tree depth-first, left half first, so the first
+//!    witness found is the canonically first one ([`search_serial`]);
+//!    [`collect_witnesses`] is the same walk gathering up to a cap;
 //! 4. bound the answer from below with a verdict-driven bisection
 //!    ([`tolerance_search`]).
 //!
@@ -21,6 +21,10 @@
 //! and discharges the soundness obligations documented on each trait.
 //! [`SearchStats`] is the single counter block shared by every
 //! instantiation — per-tier hits/fallbacks, boxes, splits, budgets.
+//!
+//! Every search runs on the calling thread. Analyses and servers get
+//! their parallelism one level up, across independent queries
+//! (DESIGN.md §7).
 
 pub mod bisect;
 pub mod cascade;
@@ -32,8 +36,6 @@ pub mod tier;
 pub use bisect::{tolerance_search, ToleranceResult, ToleranceSearch};
 pub use cascade::{BoxVerdict, Cascade, Classifier, TierKind, TierTimer};
 pub use domain::{BoxDecision, SearchDomain, SearchOutcome};
-pub use solve::{
-    collect_witnesses, search_budgeted, search_parallel, search_serial, search_with_threads,
-};
+pub use solve::{collect_witnesses, search_serial};
 pub use stats::SearchStats;
 pub use tier::ScreeningTier;

@@ -1,29 +1,38 @@
-//! The branch-and-bound loops: serial DFS, work-stealing parallel
-//! exploration with deterministic first-witness semantics, budgeted
-//! parallel search via speculative decision memoization, and the
-//! single-pass witness collector (DESIGN.md §7/§12/§16).
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Condvar, Mutex};
+//! The branch-and-bound loops: the serial DFS and the single-pass
+//! witness collector (DESIGN.md §12/§16). Queries run one per thread;
+//! callers parallelize across queries, never inside one (DESIGN.md §7).
 
 use crate::domain::{BoxDecision, SearchDomain, SearchOutcome};
 use crate::stats::SearchStats;
 
-/// Gathers `head` plus the topmost unprepared frontier boxes into one
-/// [`SearchDomain::prepare_batch`] call, returning the head's prepared
-/// value and the values for the gathered frontier boxes (aligned with
-/// `rest`). `None` when the domain declines the batch.
-fn prepare_group<D: SearchDomain>(
+/// One DFS stack entry: a box, its split depth, and its tier-0 screen
+/// result if a batched [`SearchDomain::prepare_batch`] pass already
+/// covered it.
+type Entry<D> = (
+    <D as SearchDomain>::Region,
+    u32,
+    Option<<D as SearchDomain>::Prepared>,
+);
+
+/// Screens `head` together with the topmost unprepared `stack` entries
+/// (the boxes the DFS visits next) in one [`SearchDomain::prepare_batch`]
+/// call, parks each gathered entry's prepared value on the stack and
+/// returns the head's. `None` when the domain declines the batch.
+fn prepare_frontier<D: SearchDomain>(
     domain: &D,
     head: &D::Region,
-    rest: &[&D::Region],
+    stack: &mut [Entry<D>],
     scratch: &mut D::Scratch,
     stats: &mut SearchStats,
-) -> Option<(D::Prepared, Vec<D::Prepared>)> {
-    let mut group: Vec<&D::Region> = Vec::with_capacity(1 + rest.len());
+) -> Option<D::Prepared> {
+    let idxs: Vec<usize> = (0..stack.len())
+        .rev()
+        .filter(|&i| stack[i].2.is_none())
+        .take(domain.batch_width() - 1)
+        .collect();
+    let mut group: Vec<&D::Region> = Vec::with_capacity(1 + idxs.len());
     group.push(head);
-    group.extend_from_slice(rest);
+    group.extend(idxs.iter().map(|&i| &stack[i].0));
     let mut prepared = domain.prepare_batch(&group, scratch, stats);
     if prepared.is_empty() {
         return None;
@@ -33,12 +42,16 @@ fn prepare_group<D: SearchDomain>(
         group.len(),
         "prepare_batch must return one prepared value per region"
     );
-    let others: Vec<D::Prepared> = prepared.drain(1..).collect();
-    Some((prepared.pop().expect("head prepared"), others))
+    for (&i, p) in idxs.iter().zip(prepared.drain(1..)) {
+        stack[i].2 = Some(p);
+    }
+    prepared.pop()
 }
 
 /// Serial depth-first search over `root`, LIFO so memory stays at
-/// `O(depth · box size)`.
+/// `O(depth · box size)`. The first witness in DFS pre-order wins, and
+/// left halves are explored first, so the witness is the canonically
+/// first one.
 ///
 /// `max_boxes` bounds how many boxes may be taken off the stack; when
 /// it runs out the outcome degrades to [`SearchOutcome::Undecided`]
@@ -59,9 +72,9 @@ pub fn search_serial<D: SearchDomain>(
 ) -> (SearchOutcome<D::Witness>, SearchStats) {
     let mut stats = SearchStats::default();
     let mut scratch = D::Scratch::default();
-    let mut stack: Vec<(D::Region, u32, Option<D::Prepared>)> = vec![(root, 0u32, None)];
+    let mut stack: Vec<Entry<D>> = vec![(root, 0u32, None)];
     let mut undecided = false;
-    let batch_width = domain.batch_width();
+    let batching = domain.batch_width() > 1;
 
     while let Some((region, depth, prepared)) = stack.pop() {
         if let Some(max) = max_boxes {
@@ -74,31 +87,10 @@ pub fn search_serial<D: SearchDomain>(
         stats.boxes_visited += 1;
         stats.note_depth(depth);
         let prepared = match prepared {
-            Some(p) => Some(p),
-            None if batch_width > 1 => {
-                // Batch the popped box with the topmost unprepared
-                // frontier entries (the boxes the DFS visits next).
-                let mut idxs: Vec<usize> = Vec::new();
-                for i in (0..stack.len()).rev() {
-                    if 1 + idxs.len() >= batch_width {
-                        break;
-                    }
-                    if stack[i].2.is_none() {
-                        idxs.push(i);
-                    }
-                }
-                let rest: Vec<&D::Region> = idxs.iter().map(|&i| &stack[i].0).collect();
-                match prepare_group(domain, &region, &rest, &mut scratch, &mut stats) {
-                    Some((head, others)) => {
-                        for (&i, p) in idxs.iter().zip(others) {
-                            stack[i].2 = Some(p);
-                        }
-                        Some(head)
-                    }
-                    None => None,
-                }
+            None if batching => {
+                prepare_frontier(domain, &region, &mut stack, &mut scratch, &mut stats)
             }
-            None => None,
+            prepared => prepared,
         };
         match domain.decide_prepared(&region, prepared, depth, &mut scratch, &mut stats) {
             BoxDecision::Pruned => {}
@@ -125,29 +117,6 @@ pub fn search_serial<D: SearchDomain>(
         SearchOutcome::Proven
     };
     (outcome, stats)
-}
-
-/// Dispatches on `threads` and `max_boxes`: serial for one thread,
-/// [`search_parallel`] for unbudgeted multi-thread runs, and
-/// [`search_budgeted`] when a box budget meets multiple threads — the
-/// budgeted parallel search returns the *bit-identical* outcome and
-/// stats of the serial budgeted search (resident caches replay them bit
-/// for bit), so every combination is deterministic.
-#[must_use]
-pub fn search_with_threads<D: SearchDomain>(
-    domain: &D,
-    root: D::Region,
-    threads: usize,
-    max_boxes: Option<u64>,
-) -> (SearchOutcome<D::Witness>, SearchStats) {
-    if threads <= 1 {
-        search_serial(domain, root, max_boxes)
-    } else {
-        match max_boxes {
-            None => search_parallel(domain, root, threads),
-            Some(max) => search_budgeted(domain, root, max, threads),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -220,573 +189,11 @@ pub fn collect_witnesses<D: SearchDomain>(
     (found, complete, stats)
 }
 
-// ---------------------------------------------------------------------------
-// Parallel engine (DESIGN.md §7)
-// ---------------------------------------------------------------------------
-
-/// A box plus its DFS path from the root (`0` = left child, `1` =
-/// right).
-///
-/// Decided boxes are leaves of the explored tree, so their paths are
-/// prefix-free and lexicographic path order is exactly serial DFS
-/// pre-order — the key to deterministic first-witness semantics.
-struct Work<R> {
-    region: R,
-    path: Vec<u8>,
-}
-
-/// A worker's private stack entry: a box plus its tier-0 screen result
-/// if a batched `prepare_group` pass already covered it.
-type PreparedWork<D> = (
-    Work<<D as SearchDomain>::Region>,
-    Option<<D as SearchDomain>::Prepared>,
-);
-
-/// Shared state of one parallel search.
-struct ParallelSearch<R, W> {
-    /// Steal pool: idle workers pop from here; busy workers donate the
-    /// sibling of every split while the pool runs low.
-    pool: Mutex<Vec<Work<R>>>,
-    /// Parks idle workers; notified when work arrives, when the last
-    /// box completes, and when a sibling worker panics.
-    available: Condvar,
-    /// Boxes queued or in flight; `0` means the whole tree is explored.
-    pending: AtomicUsize,
-    /// Set when a worker panics, so its siblings stop instead of
-    /// waiting forever on `pending`.
-    abort: AtomicBool,
-    /// Best (lexicographically-first-path) witness found so far.
-    best: Mutex<Option<(Vec<u8>, W)>>,
-    /// Per-worker stats, merged once at each worker's exit.
-    stats: Mutex<SearchStats>,
-}
-
-impl<R, W> ParallelSearch<R, W> {
-    /// Records a candidate witness; keeps the smaller path on conflict.
-    fn offer(&self, path: Vec<u8>, witness: W) {
-        let mut best = self.best.lock().expect("search mutex poisoned");
-        match &*best {
-            Some((existing, _)) if *existing <= path => {}
-            _ => *best = Some((path, witness)),
-        }
-    }
-
-    /// `true` once `path` can no longer influence the outcome: a
-    /// candidate with a smaller (or equal-prefix) path already exists.
-    ///
-    /// A candidate only *loses* to boxes with strictly smaller paths,
-    /// so anything ≥ the current best path is dead work.
-    fn is_dead(&self, path: &[u8]) -> bool {
-        let best = self.best.lock().expect("search mutex poisoned");
-        matches!(&*best, Some((winning, _)) if winning.as_slice() <= path)
-    }
-
-    /// Marks one box fully processed; wakes every parked worker when it
-    /// was the last (taking the pool lock first so no waiter can miss
-    /// the notification between its predicate check and its `wait`).
-    fn finish_box(&self) {
-        if self.pending.fetch_sub(1, AtomicOrdering::AcqRel) == 1 {
-            let _pool = self.pool.lock().expect("search mutex poisoned");
-            self.available.notify_all();
-        }
-    }
-}
-
-/// Raises the search's abort flag if the owning worker unwinds, so
-/// sibling workers exit their idle wait instead of hanging on a
-/// `pending` count that can no longer reach zero; `std::thread::scope`
-/// then joins everyone and propagates the original panic.
-struct AbortOnPanic<'a, R, W>(&'a ParallelSearch<R, W>);
-
-impl<R, W> Drop for AbortOnPanic<'_, R, W> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.abort.store(true, AtomicOrdering::Release);
-            self.0.available.notify_all();
-        }
-    }
-}
-
-/// Work-stealing parallel search: workers keep a private LIFO stack and
-/// overflow halves into a shared steal pool. Each box carries its DFS
-/// *path key*, and a found witness only wins if no candidate with a
-/// lexicographically smaller path exists — which reproduces the serial
-/// first-witness order exactly, so serial and parallel runs return the
-/// identical witness (DESIGN.md §7).
-///
-/// Requires a **complete** domain: every box resolves to
-/// `Pruned`/`Witness`/`Split`. Abandoning decisions make the verdict
-/// depend on exploration order, so a worker that receives one panics
-/// (budgeted/incomplete domains belong on [`search_serial`] or
-/// [`search_budgeted`], which [`search_with_threads`] routes to for box
-/// budgets).
-///
-/// Batching domains drain their *private* stacks in batches exactly as
-/// [`search_serial`] does; stolen boxes arrive unprepared and join the
-/// thief's next batch.
-///
-/// # Panics
-///
-/// Panics if the domain returns [`BoxDecision::Abandon`] or
-/// [`BoxDecision::AbandonAll`].
-#[must_use]
-pub fn search_parallel<D: SearchDomain>(
-    domain: &D,
-    root: D::Region,
-    threads: usize,
-) -> (SearchOutcome<D::Witness>, SearchStats) {
-    let search = ParallelSearch {
-        pool: Mutex::new(vec![Work {
-            region: root,
-            path: Vec::new(),
-        }]),
-        available: Condvar::new(),
-        pending: AtomicUsize::new(1),
-        abort: AtomicBool::new(false),
-        best: Mutex::new(None),
-        stats: Mutex::new(SearchStats::default()),
-    };
-    // Keep roughly two stealable boxes per worker in the pool; beyond
-    // that splits stay in the worker's private stack.
-    let pool_target = threads * 2;
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| worker(domain, &search, pool_target));
-        }
-    });
-
-    let stats = *search.stats.lock().expect("search mutex poisoned");
-    let best = search.best.into_inner().expect("search mutex poisoned");
-    let outcome = match best {
-        Some((_, witness)) => SearchOutcome::Witness(witness),
-        // Complete domains never abandon (enforced by the worker), so
-        // an empty best is a full proof.
-        None => SearchOutcome::Proven,
-    };
-    (outcome, stats)
-}
-
-fn worker<D: SearchDomain>(
-    domain: &D,
-    search: &ParallelSearch<D::Region, D::Witness>,
-    pool_target: usize,
-) {
-    let _abort_guard = AbortOnPanic(search);
-    let mut local: Vec<PreparedWork<D>> = Vec::new();
-    let mut scratch = D::Scratch::default();
-    let mut stats = SearchStats::default();
-    let batch_width = domain.batch_width();
-    'work: loop {
-        let (work, prepared) = match local.pop() {
-            Some(entry) => entry,
-            None => {
-                // Park on the pool until work, completion, or abort.
-                let mut pool = search.pool.lock().expect("search mutex poisoned");
-                loop {
-                    if search.abort.load(AtomicOrdering::Acquire) {
-                        break 'work;
-                    }
-                    if let Some(w) = pool.pop() {
-                        break (w, None);
-                    }
-                    if search.pending.load(AtomicOrdering::Acquire) == 0 {
-                        break 'work;
-                    }
-                    pool = search.available.wait(pool).expect("search mutex poisoned");
-                }
-            }
-        };
-
-        if search.abort.load(AtomicOrdering::Acquire) {
-            break;
-        }
-        if search.is_dead(&work.path) {
-            // Nothing in this subtree can beat the current best witness.
-            search.finish_box();
-            continue;
-        }
-
-        stats.boxes_visited += 1;
-        let depth = u32::try_from(work.path.len()).expect("split depth fits u32");
-        stats.note_depth(depth);
-        let prepared = match prepared {
-            Some(p) => Some(p),
-            None if batch_width > 1 => {
-                let mut idxs: Vec<usize> = Vec::new();
-                for i in (0..local.len()).rev() {
-                    if 1 + idxs.len() >= batch_width {
-                        break;
-                    }
-                    if local[i].1.is_none() {
-                        idxs.push(i);
-                    }
-                }
-                let rest: Vec<&D::Region> = idxs.iter().map(|&i| &local[i].0.region).collect();
-                match prepare_group(domain, &work.region, &rest, &mut scratch, &mut stats) {
-                    Some((head, others)) => {
-                        for (&i, p) in idxs.iter().zip(others) {
-                            local[i].1 = Some(p);
-                        }
-                        Some(head)
-                    }
-                    None => None,
-                }
-            }
-            None => None,
-        };
-        match domain.decide_prepared(&work.region, prepared, depth, &mut scratch, &mut stats) {
-            BoxDecision::Pruned => {}
-            BoxDecision::Witness(w) | BoxDecision::UniformWitness(w) => {
-                search.offer(work.path.clone(), w);
-            }
-            BoxDecision::Abandon | BoxDecision::AbandonAll => {
-                // An abandoning domain makes the verdict depend on the
-                // exploration order (serial stops at the first
-                // `AbandonAll`; concurrent workers may race a witness
-                // against the abort flag), so the deterministic
-                // first-witness contract cannot hold — refuse loudly
-                // instead of returning a scheduling-dependent answer.
-                panic!(
-                    "incomplete domains (Abandon/AbandonAll) must use the \
-                     serial search"
-                );
-            }
-            BoxDecision::Split(a, b) => {
-                let mut left_path = work.path.clone();
-                left_path.push(0);
-                let mut right_path = work.path;
-                right_path.push(1);
-                search.pending.fetch_add(1, AtomicOrdering::AcqRel);
-                let right = Work {
-                    region: b,
-                    path: right_path,
-                };
-                // Donate the right half when the pool runs low so idle
-                // workers always find food; keep it local otherwise.
-                {
-                    let mut pool = search.pool.lock().expect("search mutex poisoned");
-                    if pool.len() < pool_target {
-                        pool.push(right);
-                        search.available.notify_one();
-                    } else {
-                        drop(pool);
-                        local.push((right, None));
-                    }
-                }
-                local.push((
-                    Work {
-                        region: a,
-                        path: left_path,
-                    },
-                    None,
-                ));
-                // The parent box is consumed but two children were
-                // added: net pending change is +1, done above.
-                continue;
-            }
-        }
-        search.finish_box();
-    }
-    search
-        .stats
-        .lock()
-        .expect("search mutex poisoned")
-        .merge(&stats);
-}
-
-// ---------------------------------------------------------------------------
-// Budgeted parallel search (DESIGN.md §16)
-// ---------------------------------------------------------------------------
-
-/// One speculatively-decided box: the decision plus the stat counters
-/// the `decide` call booked (its *delta* against a fresh
-/// [`SearchStats`]).
-struct Speculated<D: SearchDomain> {
-    decision: BoxDecision<D::Region, D::Witness>,
-    delta: SearchStats,
-}
-
-type Memo<D> = HashMap<Vec<u8>, Speculated<D>>;
-
-/// An unexplored subtree awaiting speculation: its root box, the DFS
-/// path of that box, and the subtree's deterministic box allowance.
-struct SpecItem<R> {
-    region: R,
-    path: Vec<u8>,
-    allowance: u64,
-}
-
-/// Shared state of one speculation phase.
-struct Speculation<D: SearchDomain> {
-    pool: Mutex<Vec<SpecItem<D::Region>>>,
-    available: Condvar,
-    pending: AtomicUsize,
-    abort: AtomicBool,
-    memo: Mutex<Memo<D>>,
-    /// Lexicographically smallest path whose decision stops the serial
-    /// replay (a witness or `AbandonAll`): the replay visits boxes in
-    /// DFS pre-order — lexicographic path order over the prefix-free
-    /// decided set — so every box ordered after it is unreachable and
-    /// speculating on it is wasted work.
-    stop: Mutex<Option<Vec<u8>>>,
-}
-
-impl<D: SearchDomain> Speculation<D> {
-    fn note_stop(&self, path: &[u8]) {
-        let mut stop = self.stop.lock().expect("search mutex poisoned");
-        match &*stop {
-            Some(existing) if existing.as_slice() <= path => {}
-            _ => *stop = Some(path.to_vec()),
-        }
-    }
-
-    fn past_stop(&self, path: &[u8]) -> bool {
-        let stop = self.stop.lock().expect("search mutex poisoned");
-        matches!(&*stop, Some(s) if s.as_slice() <= path)
-    }
-
-    fn finish_item(&self) {
-        if self.pending.fetch_sub(1, AtomicOrdering::AcqRel) == 1 {
-            let _pool = self.pool.lock().expect("search mutex poisoned");
-            self.available.notify_all();
-        }
-    }
-}
-
-/// [`AbortOnPanic`] for the speculation phase.
-struct SpecAbortOnPanic<'a, D: SearchDomain>(&'a Speculation<D>);
-
-impl<D: SearchDomain> Drop for SpecAbortOnPanic<'_, D> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.abort.store(true, AtomicOrdering::Release);
-            self.0.available.notify_all();
-        }
-    }
-}
-
-/// Budgeted search with parallel speculation: **bit-identical to
-/// [`search_serial`] with the same `max_boxes` at every thread count**
-/// — same outcome, same witness, same visited-box set, same stats.
-///
-/// The identity holds by construction rather than by scheduling
-/// discipline. Worker threads only *pre-compute* box decisions — pure
-/// functions of `(region, depth)` per the [`SearchDomain`] contract —
-/// into a path-keyed memo, and a final serial replay of the exact
-/// [`search_serial`] loop (budget check, LIFO order, first-witness and
-/// `AbandonAll` stops) consumes the memo, falling back to a live
-/// `decide` for any box speculation did not reach. Each memo entry
-/// carries the stat delta its `decide` booked, merged at replay time,
-/// so even the counters match the serial run bit for bit.
-///
-/// Speculation is bounded by a **per-subtree box allowance split at
-/// fork points**: the root subtree carries the whole budget, and every
-/// split divides the remainder between the children (left gets the
-/// ceiling — the serial DFS leans left), so at most `max_boxes` boxes
-/// are ever decided speculatively no matter how large the tree is.
-/// Subtrees whose allowance is spent, and subtrees ordered after the
-/// lexicographically-first known witness/`AbandonAll` path, are left
-/// for the replay (which usually never reaches them). The allowance is
-/// a pure function of `(domain, root, max_boxes)`, so the *useful*
-/// visit set is scheduling-independent; scheduling only decides how
-/// much of it was precomputed in parallel versus recomputed serially.
-///
-/// Unlike [`search_parallel`], abandoning (incomplete) domains are fine
-/// here: `Abandon`/`AbandonAll` are memoized like any other decision
-/// and replayed in serial order.
-#[must_use]
-pub fn search_budgeted<D: SearchDomain>(
-    domain: &D,
-    root: D::Region,
-    max_boxes: u64,
-    threads: usize,
-) -> (SearchOutcome<D::Witness>, SearchStats) {
-    let memo = if threads > 1 && max_boxes > 1 {
-        speculate(domain, &root, max_boxes, threads)
-    } else {
-        Memo::<D>::new()
-    };
-    replay(domain, root, max_boxes, memo)
-}
-
-/// The speculation phase: workers drain subtree items, decide each
-/// item's root box once, and split the item's allowance between the
-/// children of a `Split`.
-fn speculate<D: SearchDomain>(
-    domain: &D,
-    root: &D::Region,
-    max_boxes: u64,
-    threads: usize,
-) -> Memo<D> {
-    let search = Speculation::<D> {
-        pool: Mutex::new(vec![SpecItem {
-            region: root.clone(),
-            path: Vec::new(),
-            allowance: max_boxes,
-        }]),
-        available: Condvar::new(),
-        pending: AtomicUsize::new(1),
-        abort: AtomicBool::new(false),
-        memo: Mutex::new(HashMap::new()),
-        stop: Mutex::new(None),
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| spec_worker(domain, &search));
-        }
-    });
-    search.memo.into_inner().expect("search mutex poisoned")
-}
-
-fn spec_worker<D: SearchDomain>(domain: &D, search: &Speculation<D>) {
-    let _abort_guard = SpecAbortOnPanic(search);
-    let mut scratch = D::Scratch::default();
-    'work: loop {
-        let item = {
-            let mut pool = search.pool.lock().expect("search mutex poisoned");
-            loop {
-                if search.abort.load(AtomicOrdering::Acquire) {
-                    break 'work;
-                }
-                // Serve the lexicographically smallest path first: the
-                // replay consumes boxes in exactly that order, so
-                // early-path items are the most likely to be useful.
-                let min = (0..pool.len()).min_by(|&a, &b| pool[a].path.cmp(&pool[b].path));
-                if let Some(i) = min {
-                    break pool.swap_remove(i);
-                }
-                if search.pending.load(AtomicOrdering::Acquire) == 0 {
-                    break 'work;
-                }
-                pool = search.available.wait(pool).expect("search mutex poisoned");
-            }
-        };
-
-        if search.past_stop(&item.path) {
-            search.finish_item();
-            continue;
-        }
-
-        let depth = u32::try_from(item.path.len()).expect("split depth fits u32");
-        let mut delta = SearchStats::default();
-        let decision = domain.decide(&item.region, depth, &mut scratch, &mut delta);
-        match &decision {
-            BoxDecision::Split(a, b) => {
-                // One box of the allowance was just spent on this item's
-                // root; split the remainder, ceiling to the left child —
-                // the serial DFS explores left subtrees first (and
-                // usually deepest).
-                let rest = item.allowance.saturating_sub(1);
-                let right_allowance = rest / 2;
-                let left_allowance = rest - right_allowance;
-                let mut spawned = 0usize;
-                let mut pool = search.pool.lock().expect("search mutex poisoned");
-                if left_allowance > 0 {
-                    let mut path = item.path.clone();
-                    path.push(0);
-                    pool.push(SpecItem {
-                        region: a.clone(),
-                        path,
-                        allowance: left_allowance,
-                    });
-                    spawned += 1;
-                }
-                if right_allowance > 0 {
-                    let mut path = item.path.clone();
-                    path.push(1);
-                    pool.push(SpecItem {
-                        region: b.clone(),
-                        path,
-                        allowance: right_allowance,
-                    });
-                    spawned += 1;
-                }
-                if spawned > 0 {
-                    search.pending.fetch_add(spawned, AtomicOrdering::AcqRel);
-                    search.available.notify_all();
-                }
-            }
-            BoxDecision::Witness(_) | BoxDecision::UniformWitness(_) | BoxDecision::AbandonAll => {
-                search.note_stop(&item.path);
-            }
-            BoxDecision::Pruned | BoxDecision::Abandon => {}
-        }
-        search
-            .memo
-            .lock()
-            .expect("search mutex poisoned")
-            .insert(item.path, Speculated { decision, delta });
-        search.finish_item();
-    }
-}
-
-/// The replay phase: [`search_serial`]'s exact loop with path tracking,
-/// consuming memoized decisions (and their stat deltas) where
-/// speculation reached, deciding live where it did not.
-fn replay<D: SearchDomain>(
-    domain: &D,
-    root: D::Region,
-    max_boxes: u64,
-    mut memo: Memo<D>,
-) -> (SearchOutcome<D::Witness>, SearchStats) {
-    let mut stats = SearchStats::default();
-    let mut scratch = D::Scratch::default();
-    let mut stack: Vec<(D::Region, Vec<u8>)> = vec![(root, Vec::new())];
-    let mut undecided = false;
-
-    while let Some((region, path)) = stack.pop() {
-        if stats.boxes_visited >= max_boxes {
-            stats.budget_exhausted = true;
-            undecided = true;
-            break;
-        }
-        let depth = u32::try_from(path.len()).expect("split depth fits u32");
-        stats.boxes_visited += 1;
-        stats.note_depth(depth);
-        let decision = match memo.remove(&path) {
-            Some(hit) => {
-                // The delta holds only what `decide` booked (no
-                // boxes_visited/depth, which this loop books itself), so
-                // a plain merge reproduces the serial booking exactly.
-                stats.merge(&hit.delta);
-                hit.decision
-            }
-            None => domain.decide(&region, depth, &mut scratch, &mut stats),
-        };
-        match decision {
-            BoxDecision::Pruned => {}
-            BoxDecision::Witness(w) | BoxDecision::UniformWitness(w) => {
-                return (SearchOutcome::Witness(w), stats);
-            }
-            BoxDecision::Split(a, b) => {
-                let mut left = path.clone();
-                left.push(0);
-                let mut right = path;
-                right.push(1);
-                stack.push((b, right));
-                stack.push((a, left));
-            }
-            BoxDecision::Abandon => undecided = true,
-            BoxDecision::AbandonAll => {
-                undecided = true;
-                break;
-            }
-        }
-    }
-    let outcome = if undecided {
-        SearchOutcome::Undecided
-    } else {
-        SearchOutcome::Proven
-    };
-    (outcome, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::domain::BoxDecision;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::cell::Cell;
 
     /// A toy domain over integer ranges: witnesses are the members of a
     /// fixed "bad" set; a range splits until it is a single integer.
@@ -852,8 +259,8 @@ mod tests {
     struct BatchRangeDomain {
         inner: RangeDomain,
         width: usize,
-        prepare_calls: AtomicUsize,
-        prepared_boxes: AtomicUsize,
+        prepare_calls: Cell<usize>,
+        prepared_boxes: Cell<usize>,
     }
 
     impl SearchDomain for BatchRangeDomain {
@@ -872,7 +279,7 @@ mod tests {
             _scratch: &mut (),
             _stats: &mut SearchStats,
         ) -> Vec<(i64, i64)> {
-            self.prepare_calls.fetch_add(1, Ordering::Relaxed);
+            self.prepare_calls.set(self.prepare_calls.get() + 1);
             regions.iter().map(|&&r| r).collect()
         }
 
@@ -896,7 +303,7 @@ mod tests {
         ) -> BoxDecision<(i64, i64), i64> {
             if let Some(p) = prepared {
                 assert_eq!(p, *region, "prepared value delivered to the wrong box");
-                self.prepared_boxes.fetch_add(1, Ordering::Relaxed);
+                self.prepared_boxes.set(self.prepared_boxes.get() + 1);
             }
             self.inner.decide_impl(*region, depth, stats)
         }
@@ -922,21 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reproduces_the_serial_witness() {
-        let domain = RangeDomain {
-            bad: vec![55, 9, 33],
-            abandon_at_depth: None,
-        };
-        let (serial, _) = search_serial(&domain, (0, 63), None);
-        for threads in [2, 4] {
-            let (parallel, _) = search_parallel(&domain, (0, 63), threads);
-            assert_eq!(parallel, serial, "{threads} threads");
-        }
-        let (dispatched, _) = search_with_threads(&domain, (0, 63), 4, None);
-        assert_eq!(dispatched, serial);
-    }
-
-    #[test]
     fn batched_frontier_matches_the_scalar_search() {
         for (bad, budget) in [
             (vec![], None),
@@ -954,21 +346,21 @@ mod tests {
                     abandon_at_depth: None,
                 },
                 width: 4,
-                prepare_calls: AtomicUsize::new(0),
-                prepared_boxes: AtomicUsize::new(0),
+                prepare_calls: Cell::new(0),
+                prepared_boxes: Cell::new(0),
             };
             let (want, want_stats) = search_serial(&plain, (0, 63), budget);
             let (got, got_stats) = search_serial(&batched, (0, 63), budget);
             assert_eq!(got, want, "batched serial must match scalar");
             assert_eq!(got_stats, want_stats, "batched stats must match scalar");
             assert!(
-                batched.prepare_calls.load(Ordering::Relaxed) > 0,
+                batched.prepare_calls.get() > 0,
                 "batching must actually run"
             );
-            if budget.is_none() {
-                let (par, _) = search_parallel(&batched, (0, 63), 3);
-                assert_eq!(par, want, "batched parallel must match scalar");
-            }
+            assert!(
+                batched.prepared_boxes.get() > 0,
+                "visited boxes must consume their prepared screens"
+            );
         }
     }
 
@@ -993,78 +385,6 @@ mod tests {
         let (outcome, stats) = search_serial(&domain, (0, 63), None);
         assert_eq!(outcome, SearchOutcome::Undecided);
         assert!(!stats.budget_exhausted);
-    }
-
-    #[test]
-    fn budgeted_search_is_bit_identical_to_serial_at_every_thread_count() {
-        // Witness, proof, budget-exhaustion and abandoning cases — the
-        // budgeted parallel search must reproduce the serial outcome
-        // *and stats* exactly at every thread count.
-        let cases: Vec<RangeDomain> = vec![
-            RangeDomain {
-                bad: vec![],
-                abandon_at_depth: None,
-            },
-            RangeDomain {
-                bad: vec![17, 40],
-                abandon_at_depth: None,
-            },
-            RangeDomain {
-                bad: vec![63],
-                abandon_at_depth: None,
-            },
-            RangeDomain {
-                bad: vec![55, 9, 33],
-                abandon_at_depth: Some(3),
-            },
-            RangeDomain {
-                bad: vec![21],
-                abandon_at_depth: Some(2),
-            },
-        ];
-        for domain in &cases {
-            for budget in [1u64, 2, 5, 13, 64, 1000] {
-                let (want, want_stats) = search_serial(domain, (0, 63), Some(budget));
-                for threads in [1usize, 2, 4] {
-                    let (got, got_stats) = search_budgeted(domain, (0, 63), budget, threads);
-                    assert_eq!(
-                        got, want,
-                        "outcome must match serial (bad={:?}, budget={budget}, {threads} threads)",
-                        domain.bad
-                    );
-                    assert_eq!(
-                        got_stats, want_stats,
-                        "stats must match serial (bad={:?}, budget={budget}, {threads} threads)",
-                        domain.bad
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn budget_with_threads_dispatches_to_the_budgeted_search() {
-        let domain = RangeDomain {
-            bad: vec![63],
-            abandon_at_depth: None,
-        };
-        let (want, want_stats) = search_serial(&domain, (0, 63), Some(8));
-        let (got, got_stats) = search_with_threads(&domain, (0, 63), 4, Some(8));
-        assert_eq!(got, want);
-        assert_eq!(got_stats, want_stats);
-    }
-
-    #[test]
-    #[should_panic(expected = "scoped thread panicked")]
-    fn abandoning_domain_in_parallel_is_rejected() {
-        // An abandoning decision would make the unbudgeted parallel
-        // verdict scheduling-dependent; the worker panics instead and
-        // the scope propagates it.
-        let domain = RangeDomain {
-            bad: vec![63],
-            abandon_at_depth: Some(1),
-        };
-        let _ = search_parallel(&domain, (0, 63), 2);
     }
 
     #[test]

@@ -162,7 +162,8 @@ impl<'de> Deserialize<'de> for SearchStats {
 impl SearchStats {
     /// Accumulates another run's counters into `self`. Counters and
     /// nanosecond totals add; the depth high-water takes the maximum
-    /// (parallel workers merge disjoint subtree explorations).
+    /// (separate searches — the probes of one bisection, the inputs of
+    /// one analysis — merge into one total).
     pub fn merge(&mut self, other: &SearchStats) {
         self.boxes_visited += other.boxes_visited;
         self.splits += other.splits;

@@ -51,9 +51,15 @@ pub fn to_string_pretty<T: ?Sized + Serialize>(value: &T) -> Result<String> {
 
 /// Parses a value of type `T` from a JSON string.
 pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T> {
+    serde::de::from_value(parse_document(s)?).map_err(|e| Error(e.to_string()))
+}
+
+/// Parses one complete JSON document into the shim's [`Value`].
+fn parse_document(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -61,7 +67,7 @@ pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T> {
     if p.pos != p.bytes.len() {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
-    serde::de::from_value(v).map_err(|e| Error(e.to_string()))
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -172,9 +178,16 @@ fn write_escaped(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts (serde_json's
+/// default recursion limit). The parser recurses once per level, so
+/// without a cap one line of nested `[` overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -222,67 +235,81 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        _ => {
-                            return Err(Error(format!("expected `,` or `]` at byte {}", self.pos)))
-                        }
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    entries.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(entries));
-                        }
-                        _ => {
-                            return Err(Error(format!("expected `,` or `}}` at byte {}", self.pos)))
-                        }
-                    }
-                }
-            }
+            Some(b'[') => self.nested(Self::parse_seq),
+            Some(b'{') => self.nested(Self::parse_map),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
                 other.map(|c| c as char),
                 self.pos
             ))),
+        }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_seq(&mut self) -> Result<Value> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Seq(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Seq(items));
+                }
+                _ => return Err(Error(format!("expected `,` or `]` at byte {}", self.pos))),
+            }
+        }
+    }
+
+    fn parse_map(&mut self) -> Result<Value> {
+        self.expect(b'{')?;
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Map(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            entries.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Map(entries));
+                }
+                _ => return Err(Error(format!("expected `,` or `}}` at byte {}", self.pos))),
+            }
         }
     }
 
@@ -424,6 +451,29 @@ mod tests {
         let t = (1i64, "two".to_string(), 3.5f64);
         let s = to_string(&t).unwrap();
         assert_eq!(from_str::<(i64, String, f64)>(&s).unwrap(), t);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let nest = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        let mut deepest = parse_document(&nest(MAX_DEPTH)).expect("128 levels parse");
+        for _ in 1..MAX_DEPTH {
+            let Value::Seq(mut items) = deepest else {
+                panic!("arrays nest");
+            };
+            deepest = items.pop().expect("one element per level");
+        }
+        assert_eq!(deepest, Value::Seq(Vec::new()));
+        let err = parse_document(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse_document(&objects).is_err());
+        // Far past the cap: an error, not a stack overflow.
+        assert!(parse_document(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -29,13 +29,8 @@
 //! terminating at singletons; the search therefore never returns
 //! `Undecided` here.
 //!
-//! ## Parallel search
-//!
-//! [`CheckerConfig::threads`] > 1 runs the same search through
-//! [`fannet_search::search_parallel`] (DESIGN.md §7): path-keyed
-//! work-stealing reproduces the serial first-counterexample order
-//! exactly, so serial, screened and parallel modes return the identical
-//! counterexample.
+//! Each query runs [`fannet_search::search_serial`] on the calling
+//! thread; analyses parallelize across queries instead (DESIGN.md §7).
 //!
 //! ## Batched screening
 //!
@@ -77,8 +72,7 @@ pub use fannet_search::SearchStats as BabStats;
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "FANNET_THREADS";
 
-/// How a region check runs: which screening tiers are active and how many
-/// workers explore the box tree.
+/// How a region check runs: which screening tiers are active.
 ///
 /// All configurations decide the *same* property with the *same* outcome
 /// and counterexample (enforced by `tests/checker_cross_validation.rs`);
@@ -89,10 +83,8 @@ pub const THREADS_ENV: &str = "FANNET_THREADS";
 /// ```
 /// use fannet_verify::bab::{CheckerConfig, ScreeningTier};
 ///
-/// assert_eq!(CheckerConfig::serial_exact().threads, 1);
-/// assert_eq!(CheckerConfig::fast().screening, ScreeningTier::Cascade);
-/// assert!(CheckerConfig::fast().threads >= 1);
-/// assert_eq!(CheckerConfig::screened().with_threads(4).threads, 4);
+/// assert_eq!(CheckerConfig::serial_exact().screening, ScreeningTier::None);
+/// assert_eq!(CheckerConfig::cascade().screening, ScreeningTier::Cascade);
 /// assert!(CheckerConfig::zonotope().screening.uses_zonotope());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -100,70 +92,39 @@ pub struct CheckerConfig {
     /// Screening tiers each box routes through before exact rational
     /// propagation runs (only on boxes no active screen can decide).
     pub screening: ScreeningTier,
-    /// Worker threads exploring the box tree (`1` = serial).
-    pub threads: usize,
 }
 
 impl CheckerConfig {
-    /// The seed baseline: single-threaded, exact propagation only.
+    /// The seed baseline: exact propagation only.
     #[must_use]
     pub fn serial_exact() -> Self {
         CheckerConfig {
             screening: ScreeningTier::None,
-            threads: 1,
         }
     }
 
-    /// Single-threaded with float-interval screening.
+    /// Float-interval screening.
     #[must_use]
     pub fn screened() -> Self {
         CheckerConfig {
             screening: ScreeningTier::Interval,
-            threads: 1,
         }
     }
 
-    /// Single-threaded with zonotope screening only.
+    /// Zonotope screening only.
     #[must_use]
     pub fn zonotope() -> Self {
         CheckerConfig {
             screening: ScreeningTier::Zonotope,
-            threads: 1,
         }
     }
 
-    /// Single-threaded cascade: interval → zonotope → exact.
+    /// The full cascade: interval → zonotope → exact.
     #[must_use]
     pub fn cascade() -> Self {
         CheckerConfig {
             screening: ScreeningTier::Cascade,
-            threads: 1,
         }
-    }
-
-    /// Parallel exact propagation (no screening).
-    #[must_use]
-    pub fn parallel() -> Self {
-        CheckerConfig {
-            screening: ScreeningTier::None,
-            threads: default_threads(),
-        }
-    }
-
-    /// Cascade screening + parallel search: the production configuration.
-    #[must_use]
-    pub fn fast() -> Self {
-        CheckerConfig {
-            screening: ScreeningTier::Cascade,
-            threads: default_threads(),
-        }
-    }
-
-    /// Overrides the worker count (`0` is clamped to 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Overrides the screening tier.
@@ -174,16 +135,10 @@ impl CheckerConfig {
     }
 }
 
-impl Default for CheckerConfig {
-    /// [`CheckerConfig::fast`]: screening on, all cores.
-    fn default() -> Self {
-        CheckerConfig::fast()
-    }
-}
-
-/// Worker count used by the parallel presets: the `FANNET_THREADS`
-/// environment variable when set, otherwise the machine's available
-/// parallelism.
+/// Worker count of the across-query layers — the per-input fan-out of
+/// the `fannet-core` analyses and the `fannet serve`/`listen` worker
+/// pool: the `FANNET_THREADS` environment variable when set, otherwise
+/// the machine's available parallelism.
 ///
 /// A value of `0` — or one that does not parse as an unsigned integer —
 /// falls back to all cores; an unparsable value additionally emits a
@@ -243,8 +198,8 @@ impl RegionOutcome {
 ///
 /// Returns the outcome together with search statistics. This is the
 /// baseline the faster configurations are cross-validated against; use
-/// [`check_region_with`] + [`CheckerConfig::fast`] for the screened
-/// parallel checker.
+/// [`check_region_with`] + [`CheckerConfig::cascade`] for the screened
+/// checker.
 ///
 /// # Errors
 ///
@@ -297,7 +252,7 @@ pub fn check_region(
 }
 
 /// [`check_region`] under an explicit [`CheckerConfig`] — the entry point
-/// of the tiered, optionally parallel checker.
+/// of the tiered checker.
 ///
 /// # Errors
 ///
@@ -487,8 +442,7 @@ impl<'n> RegionChecker<'n> {
             cascade: screens.cascade().with_timer(timer),
             batch: screens.batch.as_ref(),
         };
-        let (outcome, stats) =
-            fannet_search::search_with_threads(&ctx, region.clone(), self.config.threads, None);
+        let (outcome, stats) = fannet_search::search_serial(&ctx, region.clone(), None);
         let outcome = match outcome {
             SearchOutcome::Proven => RegionOutcome::Robust,
             SearchOutcome::Witness(ce) => RegionOutcome::Counterexample(ce),
@@ -500,7 +454,7 @@ impl<'n> RegionChecker<'n> {
     }
 
     /// [`collect_region_counterexamples`] through this handle (see the
-    /// free function for semantics; only `screening` is honoured here).
+    /// free function for semantics).
     ///
     /// # Errors
     ///
@@ -658,10 +612,7 @@ pub fn collect_region_counterexamples(
 /// [`collect_region_counterexamples`] with optional float screening.
 ///
 /// Collection order is the serial DFS order, so results are identical
-/// across configurations. Only `config.screening` is honoured here —
-/// collection itself stays single-threaded because analyses parallelize
-/// one level up, across inputs (`fannet-core`'s `par_` layer), which keeps
-/// every worker saturated without reordering extracted vectors.
+/// across configurations.
 ///
 /// # Errors
 ///
@@ -818,7 +769,7 @@ struct QueryContext<'a> {
     batch: Option<&'a BatchScreen<'a>>,
 }
 
-/// Per-worker reusable buffers of the input-noise domain: the exact
+/// Per-search reusable buffers of the input-noise domain: the exact
 /// tier's activation workspace plus the batched screen's lane buffers.
 #[derive(Default)]
 struct QueryScratch {
@@ -1038,9 +989,6 @@ mod tests {
             CheckerConfig::screened(),
             CheckerConfig::zonotope(),
             CheckerConfig::cascade(),
-            CheckerConfig::serial_exact().with_threads(4),
-            CheckerConfig::screened().with_threads(4),
-            CheckerConfig::cascade().with_threads(4),
         ]
     }
 
@@ -1142,11 +1090,7 @@ mod tests {
         let net = relu_net();
         for x in [[r(9), r(8)], [r(30), r(29)], [r(12), r(5)], [r(-3), r(4)]] {
             let label = net.classify(&x).unwrap();
-            for config in [
-                CheckerConfig::screened(),
-                CheckerConfig::cascade(),
-                CheckerConfig::cascade().with_threads(4),
-            ] {
+            for config in [CheckerConfig::screened(), CheckerConfig::cascade()] {
                 let batched = RegionChecker::new(&net, config.clone());
                 let scalar = RegionChecker::new(&net, config.clone()).with_batching(false);
                 for delta in [0, 3, 6, 10] {
@@ -1163,15 +1107,10 @@ mod tests {
                         "witness identity at x={x:?} delta={delta} config={config:?}"
                     );
                     assert_eq!(out_b.is_robust(), out_s.is_robust());
-                    // Parallel visit counts are scheduling-dependent
-                    // (abort races), so the counter identity is only
-                    // meaningful for the serial search.
-                    if config.threads <= 1 {
-                        assert_eq!(
-                            stats_b, stats_s,
-                            "stats identity at x={x:?} delta={delta} config={config:?}"
-                        );
-                    }
+                    assert_eq!(
+                        stats_b, stats_s,
+                        "stats identity at x={x:?} delta={delta} config={config:?}"
+                    );
                 }
             }
         }
@@ -1314,46 +1253,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
-    fn parallel_worker_panic_propagates_instead_of_hanging() {
-        // Weights large enough that interval propagation overflows i128:
-        // the first worker to touch the root box panics; the abort flag
-        // must wake its siblings so the scope joins and re-raises the
-        // panic (before the fix this hung with all workers spinning).
-        let huge = Rational::from_integer(i128::MAX / 4);
-        let net = Network::new(
-            vec![DenseLayer::new(
-                Matrix::from_rows(vec![vec![huge, huge], vec![huge, -huge]]).unwrap(),
-                vec![Rational::ZERO, Rational::ZERO],
-                Activation::Identity,
-            )
-            .unwrap()],
-            Readout::MaxPool,
-        )
-        .unwrap();
-        let x = [r(1 << 20), r(1 << 20)];
-        let _ = find_counterexample_with(
-            &net,
-            &x,
-            0,
-            &NoiseRegion::symmetric(8, 2),
-            &CheckerConfig::serial_exact().with_threads(4),
-        );
-    }
-
-    #[test]
     fn checker_config_presets_and_env() {
-        assert_eq!(CheckerConfig::serial_exact().threads, 1);
         assert_eq!(CheckerConfig::serial_exact().screening, ScreeningTier::None);
         assert!(!CheckerConfig::serial_exact().screening.is_active());
-        assert_eq!(CheckerConfig::screened().threads, 1);
         assert_eq!(CheckerConfig::screened().screening, ScreeningTier::Interval);
         assert_eq!(CheckerConfig::zonotope().screening, ScreeningTier::Zonotope);
         assert_eq!(CheckerConfig::cascade().screening, ScreeningTier::Cascade);
-        assert!(CheckerConfig::parallel().threads >= 1);
-        assert_eq!(CheckerConfig::default(), CheckerConfig::fast());
-        assert_eq!(CheckerConfig::fast().screening, ScreeningTier::Cascade);
-        assert_eq!(CheckerConfig::fast().with_threads(0).threads, 1);
         assert_eq!(
             CheckerConfig::serial_exact()
                 .with_screening(ScreeningTier::Zonotope)

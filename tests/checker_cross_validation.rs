@@ -99,10 +99,9 @@ proptest! {
     }
 
     /// The tentpole's soundness-is-never-traded guarantee: every
-    /// [`ScreeningTier`] (none/interval/zonotope/cascade), serial and
-    /// parallel, returns the identical outcome AND the identical
-    /// (lexicographically-first, i.e. serial-DFS-first) counterexample on
-    /// random small networks.
+    /// [`ScreeningTier`] (none/interval/zonotope/cascade) returns the
+    /// identical outcome AND the identical (lexicographically-first,
+    /// i.e. DFS-first) counterexample on random small networks.
     #[test]
     fn all_checker_variants_agree_on_outcome_and_witness(
         seed in 0u64..500,
@@ -124,9 +123,6 @@ proptest! {
             CheckerConfig::screened(),
             CheckerConfig::zonotope(),
             CheckerConfig::cascade(),
-            CheckerConfig::serial_exact().with_threads(4),
-            CheckerConfig::screened().with_threads(4),
-            CheckerConfig::cascade().with_threads(4),
         ] {
             let (out, _) = find_counterexample_with(&net, &x, label, &region, &config)
                 .expect("widths");

@@ -392,53 +392,6 @@ proptest! {
         prop_assert_eq!(engine.joint_cache_stats().misses, misses);
     }
 
-    /// Budgeted parallel search determinism (DESIGN.md §16): on random
-    /// networks the threaded fault and joint checkers — speculation +
-    /// deterministic replay — return verdicts, witnesses **and search
-    /// counters** bit-identical to the serial checker at 2 and 4
-    /// threads, including the joint tolerance frontier.
-    #[test]
-    fn threaded_checkers_bit_identical_to_serial_on_random_nets(
-        seed in 0u64..200,
-        x0 in -30i64..30,
-        x1 in -30i64..30,
-        delta in 0i64..4,
-        eps_numer in 0i128..20,
-    ) {
-        let net = random_exact_net(seed);
-        let x = [
-            Rational::from_integer(i128::from(x0)),
-            Rational::from_integer(i128::from(x1)),
-        ];
-        let label = net.classify(&x).expect("widths");
-        let noise = NoiseRegion::symmetric(delta, 2);
-        let model = FaultModel::WeightNoise {
-            rel_eps: Rational::new(eps_numer, 100),
-        };
-        let config = FaultCheckerConfig::default();
-        let fault_serial = FaultChecker::new(net.clone(), config.clone());
-        let joint_serial = JointChecker::new(net.clone(), config.clone());
-        let (fault_want, fault_want_stats) = fault_serial.check(&x, label, &model).expect("valid");
-        let (joint_want, joint_want_stats) =
-            joint_serial.check(&x, label, &noise, &model).expect("valid");
-        let search = ToleranceSearch::new(50, 10);
-        let (tol_want, tol_want_stats) =
-            joint_serial.tolerance(&x, label, delta, &search).expect("valid");
-        for threads in [2usize, 4] {
-            let fault = FaultChecker::new(net.clone(), config.clone()).with_threads(threads);
-            let (got, got_stats) = fault.check(&x, label, &model).expect("valid");
-            prop_assert_eq!(&got, &fault_want, "fault verdict at {} threads", threads);
-            prop_assert_eq!(got_stats, fault_want_stats, "fault stats at {} threads", threads);
-            let joint = JointChecker::new(net.clone(), config.clone()).with_threads(threads);
-            let (got, got_stats) = joint.check(&x, label, &noise, &model).expect("valid");
-            prop_assert_eq!(&got, &joint_want, "joint verdict at {} threads", threads);
-            prop_assert_eq!(got_stats, joint_want_stats, "joint stats at {} threads", threads);
-            let (tol, tol_stats) = joint.tolerance(&x, label, delta, &search).expect("valid");
-            prop_assert_eq!(&tol, &tol_want, "joint tolerance at {} threads", threads);
-            prop_assert_eq!(tol_stats, tol_want_stats, "tolerance stats at {} threads", threads);
-        }
-    }
-
     /// The engine's fault answers are bit-identical to the cold checker —
     /// cold and warm (the acceptance criterion for `fault_tolerance`).
     #[test]

@@ -189,6 +189,29 @@ fn oversized_line_is_contained() {
     );
 }
 
+/// A line of 200,000 nested `[` fits under the default line cap; the
+/// parser's nesting limit turns it into one error response instead of
+/// a stack overflow, and the session keeps serving.
+#[test]
+fn deeply_nested_line_is_contained() {
+    let input = format!(
+        "{}\n{{\"op\":\"check\",\"id\":2,\"input\":[\"100\",\"82\"],\"label\":0,\"delta\":5}}\n",
+        "[".repeat(200_000)
+    );
+    let (stdout, stderr, ok) = run_serve(&["--threads", "1"], &input);
+    assert!(ok, "serve must exit cleanly: {stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(
+        lines[0].starts_with("{\"op\":\"error\"") && lines[0].contains("nesting deeper than 128"),
+        "{stdout}"
+    );
+    assert!(
+        lines[1].starts_with("{\"op\":\"check\",\"id\":2,\"verdict\":\"robust\""),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn parallel_batch_verdicts_match_golden_modulo_stats() {
     let requests =
