@@ -88,9 +88,10 @@ pub fn extract(
 /// [`extract`] with the per-input P3 loops fanned across `input_threads`
 /// workers, each collection running under `config`.
 ///
-/// Extraction order within an input is the serial DFS order under every
-/// configuration, and inputs stay in `indices` order, so the report is
-/// identical to the serial one.
+/// Extraction order within an input is the split-tree order of the
+/// region's points under every configuration, so each capped list is
+/// the same, and inputs stay in `indices` order: the report is
+/// identical to the serial exact one.
 ///
 /// # Panics
 ///

@@ -400,6 +400,15 @@ mod tests {
         (train, test)
     }
 
+    /// `run` books its stage spans into the process-wide registry, so the
+    /// tests calling it take turns: the registry test counts exact
+    /// increments, which a concurrent `run` would break.
+    fn turn() -> std::sync::MutexGuard<'static, ()> {
+        static RUN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        RUN.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn config() -> AnalysisConfig {
         AnalysisConfig {
             max_delta: 20,
@@ -413,6 +422,7 @@ mod tests {
 
     #[test]
     fn pipeline_end_to_end() {
+        let _turn = turn();
         let (exact, float) = nets();
         let (train, test) = datasets();
         let report = run(&exact, &float, &train, &test, &config());
@@ -463,6 +473,7 @@ mod tests {
 
     #[test]
     fn render_text_contains_all_sections() {
+        let _turn = turn();
         let (exact, float) = nets();
         let (train, test) = datasets();
         let report = run(&exact, &float, &train, &test, &config());
@@ -485,6 +496,7 @@ mod tests {
 
     #[test]
     fn run_populates_the_pipeline_span_registry() {
+        let _turn = turn();
         let (exact, float) = nets();
         let (train, test) = datasets();
         let counts_of = |name: &str| {

@@ -71,7 +71,8 @@ impl<W> SearchOutcome<W> {
 /// * **Genuine witnesses** — a returned witness is a *concrete, in-model*
 ///   point, re-checkable by exact evaluation.
 /// * **Canonical first witness** — within one box, the witness returned
-///   is the canonically (lexicographically) first one; combined with
+///   is the first one in *split-tree order* (the order repeated splits
+///   reach the box's points, left half first); combined with
 ///   left-before-right splits this pins the global witness across
 ///   every screening configuration.
 /// * **Conservative splits** — [`BoxDecision::Split`] halves must cover

@@ -41,11 +41,13 @@ pub struct SearchStats {
     /// Singleton grid points decided by exact evaluation (input-noise
     /// domain: the ground-truth fallback below every screen).
     pub exact_evals: u64,
-    /// Boxes some screening tier decided on its own, making the exact
-    /// fallback unnecessary (aggregate over every active screen).
+    /// Boxes some screening tier decided on its own (aggregate over
+    /// every active screen).
     pub screen_hits: u64,
-    /// Boxes where every active screen returned `Unknown` and exact work
-    /// still had to run.
+    /// Boxes where every active screen returned `Unknown`. In the
+    /// input-noise domain such a box splits, or, at a grid point, is
+    /// evaluated exactly, so a screened search has `screen_fallbacks ==
+    /// splits + exact_evals`.
     pub screen_fallbacks: u64,
     /// Boxes the float-interval tier classified.
     pub interval_hits: u64,
@@ -71,9 +73,10 @@ pub struct SearchStats {
     /// Nanoseconds spent in the zonotope tier (timed queries only;
     /// never serialized).
     pub zonotope_ns: u64,
-    /// Nanoseconds spent in exact rational work — the exact cascade
-    /// tier plus the domain's exact fallback (timed queries only; never
-    /// serialized).
+    /// Nanoseconds spent in exact rational work — the exact cascade tier
+    /// of the budgeted domains, and in the input-noise domain the exact
+    /// point evaluations plus, unscreened only, exact interval
+    /// propagation over boxes (timed queries only; never serialized).
     pub exact_ns: u64,
     /// Deepest split depth any visited box reached (recorded
     /// unconditionally — it costs no clock read; never serialized).

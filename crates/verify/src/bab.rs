@@ -15,11 +15,15 @@
 //! * **cascade** — the float-interval screen
 //!   ([`crate::propagate::FloatShadow`], DESIGN.md §6) and the
 //!   correlation-tracking zonotope screen
-//!   ([`crate::zonotope::ZonotopeShadow`], DESIGN.md §10), with exact
-//!   rational propagation ([`crate::propagate::output_intervals`]) as
-//!   the complete fallback below them;
+//!   ([`crate::zonotope::ZonotopeShadow`], DESIGN.md §10). A box every
+//!   active screen leaves `Unknown` splits at once; exact rational
+//!   interval propagation ([`crate::propagate::output_intervals`]) is
+//!   the box tier only of the unscreened search
+//!   ([`ScreeningTier::None`]);
 //! * **witnesses** — exact [`exact::Counterexample`] records; singleton
-//!   boxes are decided by ground-truth rational evaluation.
+//!   boxes are decided by ground-truth rational evaluation, and a box
+//!   proved uniformly wrong yields its first fresh point in split-tree
+//!   order ([`NoiseRegion::iter_points`]).
 //!
 //! Every verdict is exact: the screening tiers are sound
 //! over-approximations and the singleton fallback is ground truth, so
@@ -27,7 +31,11 @@
 //! the same finite state space the paper's model checker explores.
 //! Completeness holds because splitting strictly shrinks boxes,
 //! terminating at singletons; the search therefore never returns
-//! `Undecided` here.
+//! `Undecided` here. Witnesses are tier-independent too: pruning only
+//! drops boxes without a fresh witness, and a uniformly wrong box lists
+//! its points in the order further splitting would reach them, so every
+//! configuration returns the witness first in split-tree order
+//! (DESIGN.md §5).
 //!
 //! Each query runs [`fannet_search::search_serial`] on the calling
 //! thread; analyses parallelize across queries instead (DESIGN.md §7).
@@ -89,8 +97,10 @@ pub const THREADS_ENV: &str = "FANNET_THREADS";
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckerConfig {
-    /// Screening tiers each box routes through before exact rational
-    /// propagation runs (only on boxes no active screen can decide).
+    /// Screening tiers each box routes through. With any screen active,
+    /// a box no screen can decide splits and exact rational evaluation
+    /// runs only at grid points; [`ScreeningTier::None`] runs exact
+    /// interval propagation on every box instead.
     pub screening: ScreeningTier,
 }
 
@@ -493,7 +503,8 @@ impl<'n> RegionChecker<'n> {
         };
         // With an empty exclusion set the uniform witness is the box's
         // first grid point; the remaining points all misclassify too
-        // (interval proof), so the expansion enumerates them directly.
+        // (interval proof), so the expansion enumerates them directly,
+        // in the split-tree order further splitting would reach them.
         let expand = |uniform: &NoiseRegion,
                       first: exact::Counterexample,
                       sink: &mut Vec<exact::Counterexample>,
@@ -551,7 +562,9 @@ pub fn find_counterexample_with(
 
 /// Exhaustive grid enumeration of the same property — exponentially slower
 /// but trivially correct. Exists as the baseline for the checker-ablation
-/// bench (A2) and as a cross-check oracle in tests.
+/// bench (A2) and as a cross-check oracle in tests. It enumerates in the
+/// canonical split-tree order ([`NoiseRegion::iter_points`]), so its
+/// witness is the branch-and-bound's.
 ///
 /// # Errors
 ///
@@ -577,7 +590,8 @@ pub fn check_region_exhaustive(
 }
 
 fn first_not_excluded(region: &NoiseRegion, excluded: &ExclusionSet) -> Option<NoiseVector> {
-    // The exclusion set is finite, so at most |excluded| + 1 probes.
+    // The exclusion set is finite, so at most |excluded| + 1 probes, in
+    // the split-tree order the search itself would visit them.
     region.iter_points().find(|nv| !excluded.contains(nv))
 }
 
@@ -611,8 +625,9 @@ pub fn collect_region_counterexamples(
 
 /// [`collect_region_counterexamples`] with optional float screening.
 ///
-/// Collection order is the serial DFS order, so results are identical
-/// across configurations.
+/// Collection order is the split-tree order of the region's points
+/// ([`NoiseRegion::iter_points`]) under every configuration, so results
+/// — capped lists included — are identical across configurations.
 ///
 /// # Errors
 ///
@@ -839,11 +854,13 @@ impl SearchDomain for QueryContext<'_> {
 impl QueryContext<'_> {
     /// Classifies one box through the active tiers, updating `stats`.
     ///
-    /// A box counts as a `screen_hit` when some screening tier made the
-    /// exact tier unnecessary, and as a `screen_fallback` when exact work
-    /// still had to run; `interval_*`/`zonotope_*` additionally record
-    /// which tier classified each screened box. Widths were validated at
-    /// query entry, so propagation cannot fail.
+    /// In a screened search a box counts as a `screen_hit` when some
+    /// screening tier decided it, and as a `screen_fallback` when every
+    /// screen returned `Unknown` — the box then splits, or, at a grid
+    /// point, is evaluated exactly, so `screen_fallbacks == splits +
+    /// exact_evals`. `interval_*`/`zonotope_*` additionally record which
+    /// tier classified each screened box. Widths were validated at query
+    /// entry, so propagation cannot fail.
     ///
     /// `first` carries a batched tier-0 verdict when this box's float
     /// screening already ran in a [`QueryContext::prepare_batch`] pass;
@@ -894,15 +911,19 @@ impl QueryContext<'_> {
             };
         }
 
-        // Last tier: exact propagation when no screen could decide.
+        // With any screen active, a box every screen leaves `Unknown`
+        // splits at once: exact interval propagation rarely decides such
+        // a box (behind the interval screen, only within its rounding
+        // slack), and splitting reaches the same verdict and — in
+        // split-tree order — the same witnesses (DESIGN.md §6). Exact
+        // propagation is the box tier of the unscreened search only.
         if screened {
             if verdict == BoxVerdict::Unknown {
                 stats.screen_fallbacks += 1;
             } else {
                 stats.screen_hits += 1;
             }
-        }
-        if verdict == BoxVerdict::Unknown {
+        } else {
             let (exact_verdict, ns) = timer.time(|| {
                 let enclosure =
                     output_intervals_with(self.net, self.x, current, &mut scratch.exact)
@@ -1369,6 +1390,54 @@ mod tests {
             scrubbed.zonotope_ns = 0;
             scrubbed.exact_ns = 0;
             assert_eq!(scrubbed, plain_stats, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn rounding_edge_box_splits_under_every_screen() {
+        // 110·0.9 = 99 = 90·1.1: at the (−10, +10) corner the outputs
+        // tie and the lower index (label 0) wins, so exact propagation
+        // proves the root correct in one box, while every outward-
+        // rounded screen stays `Unknown` there and must split down to
+        // that corner.
+        let net = comparator();
+        let x = [r(110), r(90)];
+        let region = NoiseRegion::symmetric(10, 2);
+        let (out, exact) = find_counterexample(&net, &x, 0, &region).unwrap();
+        assert!(out.is_robust());
+        assert_eq!((exact.boxes_visited, exact.splits), (1, 0), "{exact:?}");
+        for config in all_configs().into_iter().skip(1) {
+            let (out, stats) = find_counterexample_with(&net, &x, 0, &region, &config).unwrap();
+            assert!(out.is_robust(), "{config:?}");
+            assert_eq!(
+                (stats.boxes_visited, stats.splits, stats.exact_evals),
+                (19, 9, 1),
+                "{config:?}: {stats:?}"
+            );
+            assert_eq!(
+                stats.screen_fallbacks,
+                stats.splits + stats.exact_evals,
+                "{config:?}: {stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rounding_edge_capped_collection_follows_split_tree_order() {
+        // For label 1 the same box is uniformly wrong: exact propagation
+        // proves it at the root, the screens only on sub-boxes. Both
+        // expand in split-tree order, so every tier keeps the same
+        // capped list — the box's first 30 points.
+        let net = comparator();
+        let x = [r(110), r(90)];
+        let region = NoiseRegion::symmetric(10, 2);
+        let want: Vec<NoiseVector> = region.iter_points().take(30).collect();
+        for config in all_configs() {
+            let (found, exhausted, _) =
+                collect_region_counterexamples_with(&net, &x, 1, &region, 30, &config).unwrap();
+            let got: Vec<NoiseVector> = found.into_iter().map(|ce| ce.noise).collect();
+            assert_eq!(got, want, "{config:?}");
+            assert!(!exhausted, "{config:?}");
         }
     }
 

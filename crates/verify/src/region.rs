@@ -183,16 +183,24 @@ impl NoiseRegion {
         Some((left, right))
     }
 
-    /// Iterates over every grid point in lexicographic order.
+    /// Iterates over every grid point in **split-tree order** — the
+    /// order in which depth-first search reaches the points by repeated
+    /// [`NoiseRegion::split`]: widest dimension first (the last of equally
+    /// wide ones), left (lower) half first. The first point is always the
+    /// all-`lo` corner.
     ///
-    /// Intended for small boxes (e.g. finding a non-excluded point inside a
-    /// box already proven uniformly misclassified); the verifier never
-    /// enumerates large boxes this way.
-    pub fn iter_points(&self) -> PointIter<'_> {
+    /// This is the crate's one canonical point order (DESIGN.md §5).
+    /// Because `split` depends only on the box itself, the points of any
+    /// sub-box the search reaches come out in the same relative order
+    /// here as under further splitting, so a box proved uniformly wrong
+    /// yields the same first fresh witness and the same capped witness
+    /// list at whatever depth a screen proved it.
+    ///
+    /// Lazy: taking the first `k` points costs `O(k + depth)` splits,
+    /// never an enumeration of the whole box.
+    pub fn iter_points(&self) -> PointIter {
         PointIter {
-            region: self,
-            current: self.ranges.iter().map(|&(lo, _)| lo).collect(),
-            done: self.ranges.is_empty(),
+            stack: vec![self.clone()],
         }
     }
 }
@@ -210,41 +218,30 @@ impl fmt::Display for NoiseRegion {
     }
 }
 
-/// Iterator over the grid points of a [`NoiseRegion`], lexicographic order.
+/// Iterator over the grid points of a [`NoiseRegion`] in split-tree
+/// order (see [`NoiseRegion::iter_points`]).
 #[derive(Debug)]
-pub struct PointIter<'a> {
-    region: &'a NoiseRegion,
-    current: Vec<i64>,
-    done: bool,
+pub struct PointIter {
+    /// Boxes still to visit, the next one on top.
+    stack: Vec<NoiseRegion>,
 }
 
-impl Iterator for PointIter<'_> {
+impl Iterator for PointIter {
     type Item = NoiseVector;
 
     fn next(&mut self) -> Option<NoiseVector> {
-        if self.done {
-            return None;
-        }
-        let out = NoiseVector::new(self.current.clone());
-        // Advance odometer from the last coordinate.
-        let mut k = self.current.len();
-        loop {
-            if k == 0 {
-                self.done = true;
-                break;
-            }
-            k -= 1;
-            let (lo, hi) = self.region.ranges[k];
-            if self.current[k] < hi {
-                self.current[k] += 1;
-                for j in k + 1..self.current.len() {
-                    self.current[j] = self.region.ranges[j].0;
+        while let Some(region) = self.stack.pop() {
+            match region.split() {
+                // Right half first onto the stack, so the left half is
+                // visited first — the search's own push order.
+                Some((left, right)) => {
+                    self.stack.push(right);
+                    self.stack.push(left);
                 }
-                break;
+                None => return Some(region.to_vector()),
             }
-            self.current[k] = lo;
         }
-        Some(out)
+        None
     }
 }
 
@@ -326,16 +323,43 @@ mod tests {
     }
 
     #[test]
-    fn point_iteration_lexicographic_and_complete() {
+    fn point_iteration_split_tree_and_complete() {
+        // Widest dimension first (axis 1: [5, 7] → [5, 6] | [7, 7]); on a
+        // width tie the last axis splits first; left halves come first.
         let r = NoiseRegion::new(vec![(0, 1), (5, 7)]);
-        let pts: Vec<NoiseVector> = r.iter_points().collect();
-        assert_eq!(pts.len(), 6);
-        assert_eq!(pts[0], NoiseVector::new(vec![0, 5]));
-        assert_eq!(pts[1], NoiseVector::new(vec![0, 6]));
-        assert_eq!(pts[5], NoiseVector::new(vec![1, 7]));
-        // All distinct.
-        let set: std::collections::HashSet<_> = pts.iter().collect();
-        assert_eq!(set.len(), 6);
+        let pts: Vec<Vec<i64>> = r.iter_points().map(|p| p.percents().to_vec()).collect();
+        assert_eq!(
+            pts,
+            [[0, 5], [1, 5], [0, 6], [1, 6], [0, 7], [1, 7]].map(|p| p.to_vec())
+        );
+        // A zero-node box holds one (empty) point, as `point_count` says.
+        assert_eq!(NoiseRegion::new(vec![]).iter_points().count(), 1);
+        // Against the definition — the leaves of the split tree, left
+        // subtree first — for every box of a wider asymmetric tree: a box
+        // proved wrong at any depth lists the witnesses further splitting
+        // would reach, in the same order.
+        fn leaves(b: &NoiseRegion, out: &mut Vec<NoiseVector>) {
+            match b.split() {
+                Some((l, r)) => {
+                    leaves(&l, out);
+                    leaves(&r, out);
+                }
+                None => out.push(b.to_vector()),
+            }
+        }
+        let wide = NoiseRegion::new(vec![(-3, 2), (0, 4), (-1, 1)]);
+        let set: std::collections::HashSet<_> = wide.iter_points().collect();
+        assert_eq!(set.len() as i128, wide.point_count(), "complete, distinct");
+        let mut stack = vec![wide];
+        while let Some(b) = stack.pop() {
+            let mut want = Vec::new();
+            leaves(&b, &mut want);
+            assert_eq!(b.iter_points().collect::<Vec<_>>(), want, "box {b}");
+            if let Some((l, r)) = b.split() {
+                stack.push(l);
+                stack.push(r);
+            }
+        }
     }
 
     #[test]

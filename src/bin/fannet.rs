@@ -280,12 +280,14 @@ fn check(args: &[String]) -> Result<(), String> {
     if screening.is_active() {
         println!(
             "screening [{screening}]: interval tier decided {} of {} boxes, \
-             zonotope tier {} of {}, exact tier ran on {}",
+             zonotope tier {} of {}; {} undecided boxes split, \
+             {} grid points evaluated exactly",
             stats.interval_hits,
             stats.interval_hits + stats.interval_fallbacks,
             stats.zonotope_hits,
             stats.zonotope_hits + stats.zonotope_fallbacks,
-            stats.screen_fallbacks,
+            stats.splits,
+            stats.exact_evals,
         );
     }
     Ok(())
