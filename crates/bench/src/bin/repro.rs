@@ -21,7 +21,7 @@ use fannet_data::discretize::Discretizer;
 use fannet_data::golub::{L0_AML, L1_ALL};
 use fannet_data::mrmr::{select_by_variance, select_mrmr, select_random, MrmrScheme};
 use fannet_data::normalize::Affine;
-use fannet_engine::{Engine, EngineConfig, EngineStats};
+use fannet_engine::{Answer, Engine, EngineConfig, EngineStats, Query, QueryKind};
 use fannet_faults::{FaultChecker, FaultCheckerConfig, FaultStats};
 use fannet_nn::{fold, init, quantize, train, Activation};
 use fannet_server::session::{answer_lines, SessionConfig};
@@ -763,27 +763,43 @@ fn engine_throughput_report() -> EngineThroughputReport {
     let mut engine_checks = Vec::new();
     for _ in 0..ROUNDS {
         for &i in &batch {
-            engine_radii.push(
+            let ask = |kind| {
+                let query = Query {
+                    input: inputs[i].clone(),
+                    label: labels[i],
+                    kind,
+                };
                 engine
-                    .tolerance(&inputs[i], labels[i], MAX_DELTA)
-                    .expect("widths"),
-            );
+                    .answer(&query, TierTimer::disabled())
+                    .expect("widths")
+                    .answer
+            };
+            engine_radii.push(ask(QueryKind::Tolerance {
+                max_delta: MAX_DELTA,
+            }));
             for delta in CHECK_DELTAS {
-                let reply = engine
-                    .check(&inputs[i], labels[i], &NoiseRegion::symmetric(delta, 5))
-                    .expect("widths");
-                engine_checks.push(reply.outcome);
+                engine_checks.push(ask(QueryKind::Check {
+                    region: NoiseRegion::symmetric(delta, 5),
+                }));
             }
         }
     }
     let engine_seconds = t.elapsed().as_secs_f64();
 
     assert_eq!(
-        engine_radii, cold_radii,
+        engine_radii,
+        cold_radii
+            .into_iter()
+            .map(Answer::Radius)
+            .collect::<Vec<_>>(),
         "engine radii must equal cold radii"
     );
     assert_eq!(
-        engine_checks, cold_checks,
+        engine_checks,
+        cold_checks
+            .into_iter()
+            .map(Answer::Region)
+            .collect::<Vec<_>>(),
         "engine verdicts and witnesses must equal the cold path's"
     );
 
@@ -796,7 +812,7 @@ fn engine_throughput_report() -> EngineThroughputReport {
         engine_seconds,
         speedup_vs_cold_serial: cold_serial_exact_seconds / engine_seconds,
         speedup_vs_cold_screened: cold_screened_seconds / engine_seconds,
-        engine_stats: engine.stats(),
+        engine_stats: engine.counters().region.cache,
     }
 }
 

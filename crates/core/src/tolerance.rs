@@ -9,12 +9,13 @@
 //! sound-and-complete branch-and-bound query (property P2).
 
 use fannet_data::Dataset;
-use fannet_engine::Engine;
+use fannet_engine::{Answer, Engine, Query, QueryKind, Reply};
 use fannet_nn::Network;
 use fannet_numeric::Rational;
 use fannet_verify::bab::{CheckerConfig, RegionChecker};
 use fannet_verify::noise::ExclusionSet;
 use fannet_verify::region::NoiseRegion;
+use fannet_verify::TierTimer;
 use serde::{Deserialize, Serialize};
 
 use crate::behavior::rational_input;
@@ -199,9 +200,19 @@ pub fn robustness_radius_engine(
     label: usize,
     max_delta: i64,
 ) -> Option<i64> {
-    engine
-        .tolerance(x, label, max_delta)
-        .expect("widths validated by caller")
+    let query = Query {
+        input: x.to_vec(),
+        label,
+        kind: QueryKind::Tolerance { max_delta },
+    };
+    match engine.answer(&query, TierTimer::disabled()) {
+        Ok(Reply {
+            answer: Answer::Radius(radius),
+            ..
+        }) => radius,
+        Ok(reply) => unreachable!("a tolerance query answered {reply:?}"),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Runs the tolerance analysis over the correctly classified samples of
@@ -426,11 +437,12 @@ mod tests {
             let report = engine_analyze(&engine, &data, &[0, 1, 2], 20, threads);
             assert_eq!(report, cold);
         }
-        assert!(engine.stats().exact_hits + engine.stats().subsumption_hits > 0);
+        let s = engine.counters().region.cache;
+        assert!(s.exact_hits + s.subsumption_hits > 0);
         // The warm re-analyses above must not have re-run the solver.
-        let misses = engine.stats().misses;
+        let misses = engine.counters().region.cache.misses;
         let _ = engine_analyze(&engine, &data, &[0, 1, 2], 20, 1);
-        assert_eq!(engine.stats().misses, misses);
+        assert_eq!(engine.counters().region.cache.misses, misses);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 
 use std::collections::HashMap;
 
-use fannet_faults::{FaultModel, FaultOutcome, JointOutcome};
 use fannet_numeric::Rational;
 use fannet_verify::bab::RegionOutcome;
 use fannet_verify::region::NoiseRegion;
@@ -283,28 +282,14 @@ impl VerdictCache {
 }
 
 // ---------------------------------------------------------------------------
-// Exact-key LRU caches (fault and joint verdicts, DESIGN.md §11/§12)
+// The exact-key LRU cache (fault and joint verdicts, DESIGN.md §11/§12)
 // ---------------------------------------------------------------------------
 
-/// Lookup/eviction counters of an [`ExactLru`]-backed cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExactCacheStats {
-    /// Lookups answered by an entry with the identical key.
-    pub hits: u64,
-    /// Lookups that fell through to the solver.
-    pub misses: u64,
-    /// Entries discarded by the LRU bound.
-    pub evictions: u64,
-}
-
-/// Historical name of the fault cache's counter block; the joint cache
-/// shares the same shape.
-pub type FaultCacheStats = ExactCacheStats;
-
-/// A bounded exact-key LRU store — the shared machinery of the fault
-/// and joint verdict caches (the engine namespaces each instance under
-/// the network's content fingerprint exactly like the region-verdict
-/// cache).
+/// A bounded exact-key LRU store — the engine keeps one for fault
+/// verdicts and one for joint verdicts, each keyed by the check query
+/// and namespaced under the network's content fingerprint exactly like
+/// the region-verdict cache. Hits count as `exact_hits`; there is no
+/// subsumption path.
 ///
 /// Reuse is **exact-key only**. Weight-noise verdicts do admit a sound
 /// monotone order (`Robust` at ε answers every ε′ ≤ ε, and a joint
@@ -320,7 +305,7 @@ pub struct ExactLru<K, V> {
     entries: HashMap<K, (V, u64)>,
     capacity: usize,
     clock: u64,
-    stats: ExactCacheStats,
+    stats: EngineStats,
 }
 
 impl<K: std::hash::Hash + Eq + Clone, V: Clone> ExactLru<K, V> {
@@ -336,7 +321,7 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> ExactLru<K, V> {
             entries: HashMap::new(),
             capacity,
             clock: 0,
-            stats: ExactCacheStats::default(),
+            stats: EngineStats::default(),
         }
     }
 
@@ -354,7 +339,7 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> ExactLru<K, V> {
 
     /// Lifetime counters.
     #[must_use]
-    pub fn stats(&self) -> ExactCacheStats {
+    pub fn stats(&self) -> EngineStats {
         self.stats
     }
 
@@ -364,7 +349,7 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> ExactLru<K, V> {
         match self.entries.get_mut(key) {
             Some((value, last_used)) => {
                 *last_used = self.clock;
-                self.stats.hits += 1;
+                self.stats.exact_hits += 1;
                 Some(value.clone())
             }
             None => {
@@ -391,172 +376,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> ExactLru<K, V> {
                 self.stats.evictions += 1;
             }
         }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct FaultKey {
-    input: Vec<Rational>,
-    label: usize,
-    model: FaultModel,
-}
-
-/// Bounded LRU store of fault verdicts for **one** network, keyed by
-/// `(input, label, model)` (see [`ExactLru`] for the reuse policy).
-#[derive(Debug)]
-pub struct FaultVerdictCache {
-    inner: ExactLru<FaultKey, FaultOutcome>,
-}
-
-impl FaultVerdictCache {
-    /// Creates an empty cache holding at most `capacity` verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        FaultVerdictCache {
-            inner: ExactLru::new(capacity),
-        }
-    }
-
-    /// Number of cached verdicts.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` before the first insertion.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Lifetime counters.
-    #[must_use]
-    pub fn stats(&self) -> FaultCacheStats {
-        self.inner.stats()
-    }
-
-    /// Exact-key lookup, refreshing recency on a hit.
-    pub fn lookup(
-        &mut self,
-        input: &[Rational],
-        label: usize,
-        model: &FaultModel,
-    ) -> Option<FaultOutcome> {
-        self.inner.lookup(&FaultKey {
-            input: input.to_vec(),
-            label,
-            model: model.clone(),
-        })
-    }
-
-    /// Stores a fresh checker verdict, evicting the least recently used
-    /// entry when full.
-    pub fn insert(
-        &mut self,
-        input: &[Rational],
-        label: usize,
-        model: &FaultModel,
-        outcome: FaultOutcome,
-    ) {
-        self.inner.insert(
-            FaultKey {
-                input: input.to_vec(),
-                label,
-                model: model.clone(),
-            },
-            outcome,
-        );
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct JointKey {
-    input: Vec<Rational>,
-    label: usize,
-    ranges: Vec<(i64, i64)>,
-    model: FaultModel,
-}
-
-/// Bounded LRU store of **joint** input×weight verdicts for one
-/// network, keyed by `(input, label, noise ranges, model)` — the joint
-/// queries' own cache namespace, disjoint from both the region-verdict
-/// and the fault-verdict stores (see [`ExactLru`] for the reuse
-/// policy).
-#[derive(Debug)]
-pub struct JointVerdictCache {
-    inner: ExactLru<JointKey, JointOutcome>,
-}
-
-impl JointVerdictCache {
-    /// Creates an empty cache holding at most `capacity` verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        JointVerdictCache {
-            inner: ExactLru::new(capacity),
-        }
-    }
-
-    /// Number of cached verdicts.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` before the first insertion.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Lifetime counters.
-    #[must_use]
-    pub fn stats(&self) -> ExactCacheStats {
-        self.inner.stats()
-    }
-
-    /// Exact-key lookup, refreshing recency on a hit.
-    pub fn lookup(
-        &mut self,
-        input: &[Rational],
-        label: usize,
-        noise: &NoiseRegion,
-        model: &FaultModel,
-    ) -> Option<JointOutcome> {
-        self.inner.lookup(&JointKey {
-            input: input.to_vec(),
-            label,
-            ranges: noise.ranges().to_vec(),
-            model: model.clone(),
-        })
-    }
-
-    /// Stores a fresh checker verdict, evicting the least recently used
-    /// entry when full.
-    pub fn insert(
-        &mut self,
-        input: &[Rational],
-        label: usize,
-        noise: &NoiseRegion,
-        model: &FaultModel,
-        outcome: JointOutcome,
-    ) {
-        self.inner.insert(
-            JointKey {
-                input: input.to_vec(),
-                label,
-                ranges: noise.ranges().to_vec(),
-                model: model.clone(),
-            },
-            outcome,
-        );
     }
 }
 
@@ -745,38 +564,34 @@ mod tests {
     }
 
     #[test]
-    fn fault_cache_exact_hits_and_lru() {
-        let mut c = FaultVerdictCache::new(2);
-        let x = [r(100), r(82)];
-        let eps = |n: i128| FaultModel::WeightNoise {
-            rel_eps: Rational::new(n, 100),
-        };
-        assert_eq!(c.lookup(&x, 0, &eps(1)), None);
-        c.insert(&x, 0, &eps(1), FaultOutcome::Robust);
-        assert_eq!(c.lookup(&x, 0, &eps(1)), Some(FaultOutcome::Robust));
-        // A different model parameter, label or input is a distinct key —
-        // no monotone reuse (see the type doc).
-        assert_eq!(c.lookup(&x, 0, &eps(2)), None);
-        assert_eq!(c.lookup(&x, 1, &eps(1)), None);
-        assert_eq!(c.lookup(&[r(1), r(2)], 0, &eps(1)), None);
-        // LRU bound: touch eps(1), insert two more, eps(5) evicts eps(3).
-        c.insert(&x, 0, &eps(3), FaultOutcome::Unknown);
-        assert_eq!(c.lookup(&x, 0, &eps(1)), Some(FaultOutcome::Robust));
-        c.insert(&x, 0, &eps(5), FaultOutcome::Unknown);
+    fn exact_lru_hits_and_evicts_least_recently_used() {
+        let mut c: ExactLru<(u8, u8), &str> = ExactLru::new(2);
+        assert_eq!(c.lookup(&(0, 1)), None);
+        c.insert((0, 1), "robust");
+        assert_eq!(c.lookup(&(0, 1)), Some("robust"));
+        // Any other key is a distinct entry — no monotone reuse (see the
+        // type doc).
+        assert_eq!(c.lookup(&(0, 2)), None);
+        assert_eq!(c.lookup(&(1, 1)), None);
+        // LRU bound: touch (0, 1), insert two more, (0, 5) evicts (0, 3).
+        c.insert((0, 3), "unknown");
+        assert_eq!(c.lookup(&(0, 1)), Some("robust"));
+        c.insert((0, 5), "unknown");
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.lookup(&x, 0, &eps(3)), None, "LRU victim is gone");
-        assert_eq!(c.lookup(&x, 0, &eps(1)), Some(FaultOutcome::Robust));
-        assert!(c.stats().hits >= 3 && c.stats().misses >= 5);
+        assert_eq!(c.lookup(&(0, 3)), None, "LRU victim is gone");
+        assert_eq!(c.lookup(&(0, 1)), Some("robust"));
+        let s = c.stats();
+        assert_eq!((s.exact_hits, s.subsumption_hits, s.misses), (3, 0, 4));
         // Re-inserting an existing key refreshes in place.
-        c.insert(&x, 0, &eps(1), FaultOutcome::Robust);
+        c.insert((0, 1), "robust");
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
-    fn fault_cache_zero_capacity_rejected() {
-        let _ = FaultVerdictCache::new(0);
+    fn exact_lru_zero_capacity_rejected() {
+        let _ = ExactLru::<u8, u8>::new(0);
     }
 }

@@ -1,42 +1,40 @@
 //! The resident verification engine (DESIGN.md §8).
 //!
-//! An [`Engine`] owns everything PR 1's checker rebuilt per invocation —
+//! An [`Engine`] owns everything a cold checker rebuilds per invocation —
 //! the exact network, its float shadow, the checker configuration — plus
-//! the [`VerdictCache`], and answers P2 queries through the cache instead
-//! of starting every branch-and-bound cold. It is `Sync`: one engine
-//! serves concurrent batch workers, which is how `fannet serve` turns one
-//! resident process into a query server.
+//! one verdict cache per query domain, and answers every [`Query`]
+//! through one path: validate → lookup → solve → merge-and-insert. It is
+//! `Sync`: one engine serves concurrent workers, which is how
+//! `fannet serve` turns one resident process into a query server.
 
-use std::sync::Mutex;
+use std::fmt;
+use std::sync::{Mutex, MutexGuard};
 
 use fannet_faults::{
-    tolerance_search, FaultChecker, FaultCheckerConfig, FaultModel, FaultOutcome, FaultStats,
-    FaultTolerance, JointChecker, JointOutcome, JointTolerance, ToleranceSearch,
+    tolerance_search, FaultChecker, FaultCheckerConfig, FaultModel, FaultOutcome, FaultTolerance,
+    JointChecker, JointOutcome, JointTolerance, ToleranceSearch,
 };
 use fannet_nn::fingerprint::{fingerprint, NetworkFingerprint};
 use fannet_nn::Network;
 use fannet_numeric::Rational;
-use fannet_search::TierTimer;
+use fannet_search::{SearchStats, TierTimer};
 use fannet_tensor::ShapeError;
-use fannet_verify::bab::{BabStats, CheckerConfig, RegionChecker, RegionOutcome};
+use fannet_verify::bab::{CheckerConfig, RegionChecker, RegionOutcome};
 use fannet_verify::exact::Counterexample;
 use fannet_verify::noise::ExclusionSet;
 use fannet_verify::propagate::FloatShadow;
 use fannet_verify::region::NoiseRegion;
 use fannet_verify::zonotope::ZonotopeShadow;
 
-use crate::cache::{
-    ExactCacheStats, FaultCacheStats, FaultVerdictCache, JointVerdictCache, Lookup, VerdictCache,
-    WitnessPolicy,
-};
-use crate::stats::EngineStats;
+use crate::cache::{ExactLru, Lookup, VerdictCache, WitnessPolicy};
+use crate::stats::{Counters, DomainCounters};
 
-/// How an engine runs its solver and bounds its cache.
+/// How an engine runs its solver and bounds its caches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Screening tiers of every solver run the engine performs.
     pub checker: CheckerConfig,
-    /// LRU bound of the verdict cache (entries, not bytes).
+    /// LRU bound of each verdict cache (entries, not bytes).
     pub cache_capacity: usize,
 }
 
@@ -54,14 +52,14 @@ impl EngineConfig {
     }
 }
 
-/// Where a [`CheckReply`] came from.
+/// Where a [`Reply`] came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnswerSource {
-    /// A cached verdict with the identical region key.
+    /// A cached verdict with the identical key.
     ExactHit,
     /// A cached verdict related by the subsumption order.
     SubsumptionHit,
-    /// A fresh branch-and-bound run.
+    /// A fresh solver run.
     Solver,
 }
 
@@ -77,19 +75,222 @@ impl AnswerSource {
     }
 }
 
-/// An engine answer: the outcome plus how it was obtained.
-///
-/// `stats` are the solver counters of **this** answer — all zero when the
-/// cache answered.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckReply {
-    /// The verdict, bit-identical to a cold `check_region` run.
-    pub outcome: RegionOutcome,
-    /// Cache path that produced it.
-    pub source: AnswerSource,
-    /// Branch-and-bound counters of this answer (zero on cache hits).
-    pub stats: BabStats,
+/// One question about one input of the served network.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Query {
+    /// Exact input vector.
+    pub input: Vec<Rational>,
+    /// Expected label `Sx`.
+    pub label: usize,
+    /// What to decide about `(input, label)`.
+    pub kind: QueryKind,
 }
+
+/// The seven query kinds: {region, fault, joint} × {check, tolerance},
+/// plus the P3 extraction.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum QueryKind {
+    /// Property P2 over an input-noise region, **witness-exact**: the
+    /// answer (verdict *and* counterexample) is bit-identical to a cold
+    /// [`fannet_verify::bab::check_region`] run.
+    Check {
+        /// Region to certify.
+        region: NoiseRegion,
+    },
+    /// Exact robustness radius: the smallest `δ ∈ [1, max_delta]` whose
+    /// `±δ` region contains a counterexample, or `None` if the input is
+    /// robust throughout `±max_delta` — the value of
+    /// `fannet_core::tolerance`'s cold binary search.
+    Tolerance {
+        /// Largest radius probed, in `[1, 100]`.
+        max_delta: i64,
+    },
+    /// Up to `cap` counterexamples in `region` (the P3 extraction behind
+    /// `sensitivity` requests). Uncached — the result is a set, not a
+    /// verdict — and untimed.
+    Sensitivity {
+        /// Region to extract from.
+        region: NoiseRegion,
+        /// Maximum counterexamples to extract (positive).
+        cap: usize,
+    },
+    /// Weight-fault robustness under `model` (DESIGN.md §11), bit-identical
+    /// to a cold [`FaultChecker`] with the default configuration.
+    FaultCheck {
+        /// The fault model to verify against.
+        model: FaultModel,
+    },
+    /// Weight-noise fault tolerance on the ε grid `search`, bit-identical
+    /// to [`FaultChecker::tolerance`].
+    FaultTolerance {
+        /// The ε grid searched.
+        search: ToleranceSearch,
+    },
+    /// Joint input-noise × weight-fault robustness (DESIGN.md §12),
+    /// bit-identical to a cold [`JointChecker`] with the default
+    /// configuration.
+    JointCheck {
+        /// The input-noise factor of the product claim.
+        region: NoiseRegion,
+        /// The weight-fault factor of the product claim.
+        model: FaultModel,
+    },
+    /// Joint weight-noise tolerance at a fixed `±delta` input-noise
+    /// radius, bit-identical to [`JointChecker::tolerance`].
+    JointTolerance {
+        /// Symmetric input-noise radius (±δ%), in `[0, 100]`.
+        delta: i64,
+        /// The ε grid searched.
+        search: ToleranceSearch,
+    },
+}
+
+/// What the engine decided, one variant per [`QueryKind`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Answer {
+    /// [`QueryKind::Check`]: the canonical outcome.
+    Region(RegionOutcome),
+    /// [`QueryKind::Tolerance`]: the smallest flipping `δ`, `None` if
+    /// robust through `±max_delta`.
+    Radius(Option<i64>),
+    /// [`QueryKind::Sensitivity`]: the extracted counterexamples.
+    Counterexamples {
+        /// Counterexamples in split-tree order.
+        found: Vec<Counterexample>,
+        /// `true` iff the region was exhausted before the cap.
+        exhausted: bool,
+    },
+    /// [`QueryKind::FaultCheck`]: the verdict (with witness, when
+    /// vulnerable).
+    Fault(FaultOutcome),
+    /// [`QueryKind::FaultTolerance`]: the bisection result.
+    FaultTolerance(FaultTolerance),
+    /// [`QueryKind::JointCheck`]: the verdict (with joint witness, when
+    /// vulnerable).
+    Joint(JointOutcome),
+    /// [`QueryKind::JointTolerance`]: the bisection result.
+    JointTolerance(JointTolerance),
+}
+
+/// An engine answer plus how it was obtained.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reply {
+    /// What was decided.
+    pub answer: Answer,
+    /// Cache path that produced it. A tolerance bisection reports the
+    /// aggregate over its probes: [`AnswerSource::Solver`] if any probe
+    /// ran the solver, else [`AnswerSource::SubsumptionHit`] if any probe
+    /// (or the warm bracket alone) answered by containment, else
+    /// [`AnswerSource::ExactHit`]. Fault and joint lookups are exact-key
+    /// only, so they never report a subsumption hit.
+    pub source: AnswerSource,
+    /// Solver counters of this answer — zero on cache hits, the merge
+    /// of every solver probe for a bisection. An enabled [`TierTimer`]
+    /// additionally books per-tier nanoseconds here (DESIGN.md §14).
+    pub stats: SearchStats,
+}
+
+/// A query the engine refused: it failed validation before touching
+/// any cache, or its solver reported a malformed query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryError(String);
+
+impl fmt::Display for QueryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for QueryError {}
+
+impl From<String> for QueryError {
+    fn from(message: String) -> Self {
+        QueryError(message)
+    }
+}
+
+impl From<ShapeError> for QueryError {
+    fn from(e: ShapeError) -> Self {
+        QueryError(e.to_string())
+    }
+}
+
+/// One cache domain: its verdict store plus the merged counters of
+/// every solver run it could not answer, guarded together.
+#[derive(Debug)]
+struct Domain<C> {
+    cache: C,
+    solver: SearchStats,
+}
+
+impl<C> Domain<C> {
+    fn new(cache: C) -> Mutex<Self> {
+        Mutex::new(Domain {
+            cache,
+            solver: SearchStats::default(),
+        })
+    }
+}
+
+fn lock<C>(domain: &Mutex<Domain<C>>) -> MutexGuard<'_, Domain<C>> {
+    domain.lock().expect("engine cache poisoned")
+}
+
+/// The cache path every kind takes: look up under the lock; on a miss
+/// run `solve` with no lock held, then merge its counters and insert its
+/// answer under the lock again.
+fn cached<C, V: Clone>(
+    domain: &Mutex<Domain<C>>,
+    lookup: impl FnOnce(&mut C) -> Option<(V, AnswerSource)>,
+    solve: impl FnOnce() -> Result<(V, SearchStats), QueryError>,
+    insert: impl FnOnce(&mut C, V),
+) -> Result<(V, AnswerSource, SearchStats), QueryError> {
+    let hit = lookup(&mut lock(domain).cache);
+    if let Some((value, source)) = hit {
+        return Ok((value, source, SearchStats::default()));
+    }
+    let (value, stats) = solve()?;
+    let mut domain = lock(domain);
+    domain.solver.merge(&stats);
+    insert(&mut domain.cache, value.clone());
+    Ok((value, AnswerSource::Solver, stats))
+}
+
+/// The merged counters and aggregate source of a bisection's probes.
+#[derive(Default)]
+struct Probes {
+    stats: SearchStats,
+    solved: bool,
+    subsumed: bool,
+}
+
+impl Probes {
+    fn add(&mut self, source: AnswerSource, stats: &SearchStats) {
+        self.stats.merge(stats);
+        self.solved |= source == AnswerSource::Solver;
+        self.subsumed |= source == AnswerSource::SubsumptionHit;
+    }
+
+    fn reply(self, answer: Answer) -> Reply {
+        let source = if self.solved {
+            AnswerSource::Solver
+        } else if self.subsumed {
+            AnswerSource::SubsumptionHit
+        } else {
+            AnswerSource::ExactHit
+        };
+        Reply {
+            answer,
+            source,
+            stats: self.stats,
+        }
+    }
+}
+
+/// The fault and joint verdict stores: exact-key LRUs keyed by the
+/// check query itself (see [`ExactLru`] for why reuse is exact-key only).
+type FaultCache = ExactLru<Query, FaultOutcome>;
+type JointCache = ExactLru<Query, JointOutcome>;
 
 /// A long-lived verification engine for one trained network.
 pub struct Engine {
@@ -102,28 +303,20 @@ pub struct Engine {
     /// Built once iff the zonotope tier is on; borrowed (never cloned)
     /// by per-query handles.
     zonotope: Option<ZonotopeShadow>,
-    cache: Mutex<VerdictCache>,
-    /// Cumulative branch-and-bound counters across every solver run.
-    solver_stats: Mutex<BabStats>,
     /// The resident weight-fault checker (DESIGN.md §11); runs the
     /// deterministic default [`FaultCheckerConfig`], so cold
     /// `FaultChecker` runs reproduce engine answers bit for bit.
     faults: FaultChecker,
-    fault_cache: Mutex<FaultVerdictCache>,
-    /// Cumulative fault-checker counters across every cold fault run.
-    fault_stats: Mutex<FaultStats>,
-    /// The resident joint input×weight checker (DESIGN.md §12); runs
-    /// the deterministic default [`FaultCheckerConfig`] like the fault
-    /// checker, so cold [`JointChecker`] runs reproduce engine answers
-    /// bit for bit.
+    /// The resident joint input×weight checker (DESIGN.md §12), on the
+    /// same default configuration.
     joint: JointChecker,
-    joint_cache: Mutex<JointVerdictCache>,
-    /// Cumulative joint-checker counters across every cold joint run.
-    joint_stats: Mutex<FaultStats>,
+    region_cache: Mutex<Domain<VerdictCache>>,
+    fault_cache: Mutex<Domain<FaultCache>>,
+    joint_cache: Mutex<Domain<JointCache>>,
 }
 
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Engine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("fingerprint", &self.fingerprint)
             .field("config", &self.config)
@@ -141,7 +334,6 @@ impl Engine {
     /// piecewise-linear.
     #[must_use]
     pub fn new(net: Network<Rational>, config: EngineConfig) -> Self {
-        let fp = fingerprint(&net);
         let shadow = config
             .checker
             .screening
@@ -152,25 +344,18 @@ impl Engine {
             .screening
             .uses_zonotope()
             .then(|| ZonotopeShadow::new(&net));
-        let cache = VerdictCache::new(config.cache_capacity);
-        let fault_cache = FaultVerdictCache::new(config.cache_capacity);
-        let joint_cache = JointVerdictCache::new(config.cache_capacity);
-        let faults = FaultChecker::new(net.clone(), FaultCheckerConfig::default());
-        let joint = JointChecker::new(net.clone(), FaultCheckerConfig::default());
+        let capacity = config.cache_capacity;
         Engine {
-            net,
-            fingerprint: fp,
-            config,
+            fingerprint: fingerprint(&net),
             shadow,
             zonotope,
-            cache: Mutex::new(cache),
-            solver_stats: Mutex::new(BabStats::default()),
-            faults,
-            fault_cache: Mutex::new(fault_cache),
-            fault_stats: Mutex::new(FaultStats::default()),
-            joint,
-            joint_cache: Mutex::new(joint_cache),
-            joint_stats: Mutex::new(FaultStats::default()),
+            faults: FaultChecker::new(net.clone(), FaultCheckerConfig::default()),
+            joint: JointChecker::new(net.clone(), FaultCheckerConfig::default()),
+            region_cache: Domain::new(VerdictCache::new(capacity)),
+            fault_cache: Domain::new(ExactLru::new(capacity)),
+            joint_cache: Domain::new(ExactLru::new(capacity)),
+            net,
+            config,
         }
     }
 
@@ -192,22 +377,208 @@ impl Engine {
         &self.config
     }
 
-    /// Lifetime cache counters.
+    /// Lifetime counters of every domain. Each domain's block is read
+    /// under its own lock, so it is internally consistent.
     #[must_use]
-    pub fn stats(&self) -> EngineStats {
-        self.cache.lock().expect("engine cache poisoned").stats()
+    pub fn counters(&self) -> Counters {
+        fn read<C>(
+            domain: &Mutex<Domain<C>>,
+            stats: impl Fn(&C) -> (crate::EngineStats, usize),
+        ) -> DomainCounters {
+            let domain = lock(domain);
+            let (cache, len) = stats(&domain.cache);
+            DomainCounters {
+                cache,
+                len,
+                solver: domain.solver,
+            }
+        }
+        Counters {
+            region: read(&self.region_cache, |c| (c.stats(), c.len())),
+            fault: read(&self.fault_cache, |c| (c.stats(), c.len())),
+            joint: read(&self.joint_cache, |c| (c.stats(), c.len())),
+        }
     }
 
-    /// Cumulative branch-and-bound counters across every solver run.
-    #[must_use]
-    pub fn solver_stats(&self) -> BabStats {
-        *self.solver_stats.lock().expect("engine stats poisoned")
+    /// Answers one query. Validation runs first and touches no cache, so
+    /// a refused query never skews the hit/miss accounting; every other
+    /// answer takes the domain's cache path, and locks are held only
+    /// around lookups and inserts, never across a solver run.
+    ///
+    /// An enabled `timer` books per-tier nanoseconds into the reply's
+    /// stats for cost attribution (DESIGN.md §14); the answer, source,
+    /// counters and cache behaviour are bit-identical to an untimed call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueryError`] on a width mismatch, an out-of-range label,
+    /// `max_delta` outside `[1, 100]`, a joint `delta` outside `[0, 100]`,
+    /// `cap == 0`, an invalid ε grid, or a fault model the network does
+    /// not admit.
+    pub fn answer(&self, query: &Query, timer: TierTimer) -> Result<Reply, QueryError> {
+        self.validate(query)?;
+        let (x, label) = (query.input.as_slice(), query.label);
+        match &query.kind {
+            QueryKind::Check { region } => {
+                let (outcome, source, stats) =
+                    self.region_check(x, label, region, WitnessPolicy::Canonical, timer)?;
+                Ok(Reply {
+                    answer: Answer::Region(outcome),
+                    source,
+                    stats,
+                })
+            }
+            QueryKind::Tolerance { max_delta } => self.radius(x, label, *max_delta, timer),
+            QueryKind::Sensitivity { region, cap } => {
+                let (found, exhausted, stats) = self
+                    .checker()
+                    .collect_region_counterexamples(x, label, region, *cap)?;
+                lock(&self.region_cache).solver.merge(&stats);
+                Ok(Reply {
+                    answer: Answer::Counterexamples { found, exhausted },
+                    source: AnswerSource::Solver,
+                    stats,
+                })
+            }
+            QueryKind::FaultCheck { model } => {
+                let (outcome, source, stats) = self.fault_check(query, model, timer)?;
+                Ok(Reply {
+                    answer: Answer::Fault(outcome),
+                    source,
+                    stats,
+                })
+            }
+            QueryKind::FaultTolerance { search } => {
+                // Every probe is the fault check a client would send, so
+                // probes and checks share cache entries; the probe
+                // sequence is a pure function of the verdicts, which
+                // cached answers reproduce, so the result equals the cold
+                // search's and a warm repeat runs no checker at all.
+                let mut probes = Probes::default();
+                let tolerance = tolerance_search(search, |rel_eps| {
+                    let model = FaultModel::WeightNoise { rel_eps };
+                    let probe = Query {
+                        input: query.input.clone(),
+                        label,
+                        kind: QueryKind::FaultCheck {
+                            model: model.clone(),
+                        },
+                    };
+                    let (outcome, source, stats) = self.fault_check(&probe, &model, timer)?;
+                    probes.add(source, &stats);
+                    Ok::<_, QueryError>(outcome)
+                })?;
+                Ok(probes.reply(Answer::FaultTolerance(tolerance)))
+            }
+            QueryKind::JointCheck { region, model } => {
+                let (outcome, source, stats) = self.joint_check(query, region, model, timer)?;
+                Ok(Reply {
+                    answer: Answer::Joint(outcome),
+                    source,
+                    stats,
+                })
+            }
+            QueryKind::JointTolerance { delta, search } => {
+                // Probes are joint checks at ±delta, like the fault case.
+                let region = NoiseRegion::symmetric(*delta, x.len());
+                let mut probes = Probes::default();
+                let tolerance = fannet_search::tolerance_search(search, |rel_eps| {
+                    let model = FaultModel::WeightNoise { rel_eps };
+                    let probe = Query {
+                        input: query.input.clone(),
+                        label,
+                        kind: QueryKind::JointCheck {
+                            region: region.clone(),
+                            model: model.clone(),
+                        },
+                    };
+                    let (outcome, source, stats) =
+                        self.joint_check(&probe, &region, &model, timer)?;
+                    probes.add(source, &stats);
+                    Ok::<_, QueryError>(outcome.is_robust())
+                })?;
+                Ok(probes.reply(Answer::JointTolerance(tolerance)))
+            }
+        }
     }
 
-    /// Number of cached verdicts.
-    #[must_use]
-    pub fn cache_len(&self) -> usize {
-        self.cache.lock().expect("engine cache poisoned").len()
+    /// Every precondition of every kind, checked before any cache sees
+    /// the query.
+    fn validate(&self, query: &Query) -> Result<(), QueryError> {
+        let (inputs, outputs) = (self.net.inputs(), self.net.outputs());
+        if query.label >= outputs {
+            return Err(QueryError(format!(
+                "label {} out of range for {outputs} outputs",
+                query.label
+            )));
+        }
+        if query.input.len() != inputs {
+            return Err(QueryError(format!(
+                "input of width {} against network with {inputs} inputs",
+                query.input.len()
+            )));
+        }
+        // Per kind: the region to width-check, the fault model to admit,
+        // the ε grid to check, and whether a fault checker runs at all
+        // (the tolerance kinds probe weight noise, which any
+        // piecewise-linear network admits).
+        let (region, model, grid, faulted) = match &query.kind {
+            QueryKind::Check { region } => (Some(region), None, None, false),
+            QueryKind::Tolerance { max_delta } => {
+                if !(1..=100).contains(max_delta) {
+                    return Err(QueryError(format!(
+                        "max_delta {max_delta} outside [1, 100]"
+                    )));
+                }
+                (None, None, None, false)
+            }
+            QueryKind::Sensitivity { region, cap } => {
+                if *cap == 0 {
+                    return Err(QueryError("cap must be positive".to_string()));
+                }
+                (Some(region), None, None, false)
+            }
+            QueryKind::FaultCheck { model } => (None, Some(model), None, true),
+            QueryKind::FaultTolerance { search } => (None, None, Some(search), true),
+            QueryKind::JointCheck { region, model } => (Some(region), Some(model), None, true),
+            QueryKind::JointTolerance { delta, search } => {
+                if !(0..=100).contains(delta) {
+                    return Err(QueryError(format!(
+                        "delta {delta} outside the model's [0, 100] range"
+                    )));
+                }
+                (None, None, Some(search), true)
+            }
+        };
+        if let Some(region) = region.filter(|r| r.nodes() != inputs) {
+            return Err(QueryError(format!(
+                "noise region over {} nodes against network with {inputs} inputs",
+                region.nodes()
+            )));
+        }
+        if let Some(search) = grid {
+            if search.denom <= 0 {
+                return Err(QueryError(format!(
+                    "denom must be positive, got {}",
+                    search.denom
+                )));
+            }
+            if search.max_numer < 0 {
+                return Err(QueryError(format!(
+                    "max_numer must be non-negative, got {}",
+                    search.max_numer
+                )));
+            }
+        }
+        if faulted && !self.net.is_piecewise_linear() {
+            return Err(QueryError(
+                "fault verification requires piecewise-linear activations".to_string(),
+            ));
+        }
+        if let Some(model) = model {
+            model.validate(&self.net)?;
+        }
+        Ok(())
     }
 
     /// A per-query checker handle borrowing the resident screening
@@ -221,181 +592,78 @@ impl Engine {
         )
     }
 
-    fn validate(&self, x: &[Rational], region: &NoiseRegion) -> Result<(), ShapeError> {
-        if x.len() != self.net.inputs() {
-            return Err(ShapeError::new(format!(
-                "input of width {} against network with {} inputs",
-                x.len(),
-                self.net.inputs()
-            )));
-        }
-        if region.nodes() != self.net.inputs() {
-            return Err(ShapeError::new(format!(
-                "noise region over {} nodes against network with {} inputs",
-                region.nodes(),
-                self.net.inputs()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Runs the solver cold and stores the canonical verdict. An enabled
-    /// `timer` additionally books per-tier nanoseconds into the returned
-    /// stats; the cumulative engine counters absorb them too, but the
-    /// wire serialization of [`BabStats`] never carries them.
-    fn solve(
+    /// The region domain's cache path. `policy` decides which cached
+    /// verdicts may answer: a witness-bearing check reuses only exact
+    /// hits and `Robust` subsumption (a cached counterexample for another
+    /// region need not be this region's DFS-first one), while a
+    /// verdict-only probe also accepts counterexample containment.
+    fn region_check(
         &self,
         x: &[Rational],
         label: usize,
         region: &NoiseRegion,
+        policy: WitnessPolicy,
         timer: TierTimer,
-    ) -> Result<(RegionOutcome, BabStats), ShapeError> {
-        let (outcome, stats) =
-            self.checker()
-                .check_region_timed(x, label, region, &ExclusionSet::new(), timer)?;
-        self.solver_stats
-            .lock()
-            .expect("engine stats poisoned")
-            .merge(&stats);
-        self.cache.lock().expect("engine cache poisoned").insert(
-            x,
-            label,
-            region.clone(),
-            outcome.clone(),
-        );
-        Ok((outcome, stats))
+    ) -> Result<(RegionOutcome, AnswerSource, SearchStats), QueryError> {
+        cached(
+            &self.region_cache,
+            |cache| match cache.lookup(x, label, region, policy) {
+                Lookup::Exact(outcome) => Some((outcome, AnswerSource::ExactHit)),
+                Lookup::Subsumed(outcome) => Some((outcome, AnswerSource::SubsumptionHit)),
+                Lookup::Miss => None,
+            },
+            || {
+                Ok(self.checker().check_region_timed(
+                    x,
+                    label,
+                    region,
+                    &ExclusionSet::new(),
+                    timer,
+                )?)
+            },
+            |cache, outcome| cache.insert(x, label, region.clone(), outcome),
+        )
     }
 
-    /// Property P2 through the cache, **witness-exact**: the reply's
-    /// outcome (verdict *and* counterexample) is bit-identical to a cold
-    /// [`fannet_verify::bab::check_region`] on the same query.
-    ///
-    /// Cache reuse is therefore limited to the rules that preserve the
-    /// canonical witness — exact hits and `Robust` subsumption; a cached
-    /// counterexample for a different region re-solves (its witness need
-    /// not be the queried region's DFS-first one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if input/region/network widths disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` is out of range.
-    pub fn check(
+    fn fault_check(
         &self,
-        x: &[Rational],
-        label: usize,
-        region: &NoiseRegion,
-    ) -> Result<CheckReply, ShapeError> {
-        self.check_traced(x, label, region, TierTimer::disabled())
-    }
-
-    /// [`Engine::check`] with an explicit [`TierTimer`]: an enabled
-    /// timer books per-tier nanoseconds into the reply's stats for cost
-    /// attribution (DESIGN.md §14). Verdict, witness, counters and cache
-    /// behaviour are bit-identical to the untimed call; cache hits still
-    /// report zero stats (the cache did no tier work).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if input/region/network widths disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` is out of range.
-    pub fn check_traced(
-        &self,
-        x: &[Rational],
-        label: usize,
-        region: &NoiseRegion,
+        key: &Query,
+        model: &FaultModel,
         timer: TierTimer,
-    ) -> Result<CheckReply, ShapeError> {
-        assert!(label < self.net.outputs(), "label {label} out of range");
-        self.validate(x, region)?;
-        let hit = self.cache.lock().expect("engine cache poisoned").lookup(
-            x,
-            label,
-            region,
-            WitnessPolicy::Canonical,
-        );
-        let (outcome, source, stats) = match hit {
-            Lookup::Exact(outcome) => (outcome, AnswerSource::ExactHit, BabStats::default()),
-            Lookup::Subsumed(outcome) => {
-                (outcome, AnswerSource::SubsumptionHit, BabStats::default())
-            }
-            Lookup::Miss => {
-                let (outcome, stats) = self.solve(x, label, region, timer)?;
-                (outcome, AnswerSource::Solver, stats)
-            }
-        };
-        Ok(CheckReply {
-            outcome,
-            source,
-            stats,
-        })
+    ) -> Result<(FaultOutcome, AnswerSource, SearchStats), QueryError> {
+        cached(
+            &self.fault_cache,
+            |cache| cache.lookup(key).map(|o| (o, AnswerSource::ExactHit)),
+            || {
+                Ok(self
+                    .faults
+                    .check_timed(&key.input, key.label, model, timer)?)
+            },
+            |cache, outcome| cache.insert(key.clone(), outcome),
+        )
     }
 
-    /// Verdict-level P2 — `true` iff the region is robust. Counterexample
-    /// containment is additionally admissible here, which is what makes
-    /// tolerance probes cheap; the witness behind a `false` is *not*
-    /// surfaced, so no canonicality is promised.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if input/region/network widths disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` is out of range.
-    pub fn check_verdict(
+    fn joint_check(
         &self,
-        x: &[Rational],
-        label: usize,
+        key: &Query,
         region: &NoiseRegion,
-    ) -> Result<(bool, AnswerSource), ShapeError> {
-        assert!(label < self.net.outputs(), "label {label} out of range");
-        self.validate(x, region)?;
-        let mut acc = BabStats::default();
-        let (outcome, source) = self.probe(x, label, region, TierTimer::disabled(), &mut acc)?;
-        Ok((outcome.is_robust(), source))
-    }
-
-    /// Shared verdict-level lookup-or-solve; solver probes merge their
-    /// stats into `acc` so traced tolerance searches can attribute the
-    /// cost of the whole bisection.
-    fn probe(
-        &self,
-        x: &[Rational],
-        label: usize,
-        region: &NoiseRegion,
+        model: &FaultModel,
         timer: TierTimer,
-        acc: &mut BabStats,
-    ) -> Result<(RegionOutcome, AnswerSource), ShapeError> {
-        let hit = self.cache.lock().expect("engine cache poisoned").lookup(
-            x,
-            label,
-            region,
-            WitnessPolicy::VerdictOnly,
-        );
-        Ok(match hit {
-            Lookup::Exact(outcome) => (outcome, AnswerSource::ExactHit),
-            Lookup::Subsumed(outcome) => (outcome, AnswerSource::SubsumptionHit),
-            Lookup::Miss => {
-                let (outcome, stats) = self.solve(x, label, region, timer)?;
-                acc.merge(&stats);
-                (outcome, AnswerSource::Solver)
-            }
-        })
+    ) -> Result<(JointOutcome, AnswerSource, SearchStats), QueryError> {
+        cached(
+            &self.joint_cache,
+            |cache| cache.lookup(key).map(|o| (o, AnswerSource::ExactHit)),
+            || {
+                Ok(self
+                    .joint
+                    .check_timed(&key.input, key.label, region, model, timer)?)
+            },
+            |cache, outcome| cache.insert(key.clone(), outcome),
+        )
     }
 
-    /// Exact robustness radius of one input — the engine-backed
-    /// incremental replacement of `fannet_core::tolerance`'s cold binary
-    /// search, returning the **identical** value: the smallest
-    /// `δ ∈ [1, max_delta]` whose `±δ` region contains a counterexample,
-    /// or `None` if the input is robust throughout `±max_delta`.
-    ///
-    /// Three accelerations compose, all sound, so the result is exact:
+    /// The incremental radius search, returning the cold binary search's
+    /// value exactly. Three accelerations compose, all sound:
     ///
     /// 1. **warm start** — cached verdicts for this `(x, label)` bracket
     ///    the search before any probe runs;
@@ -405,522 +673,45 @@ impl Engine {
     /// 3. **witness-norm descent** — when a probe at `±mid` solves to a
     ///    counterexample `w`, the upper bound drops to `max(‖w‖∞, 1)`
     ///    rather than `mid` (`w` itself lies in `±‖w‖∞`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if input/network widths disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` is out of range or `max_delta` outside
-    /// `[1, 100]`.
-    pub fn tolerance(
-        &self,
-        x: &[Rational],
-        label: usize,
-        max_delta: i64,
-    ) -> Result<Option<i64>, ShapeError> {
-        self.tolerance_traced(x, label, max_delta, TierTimer::disabled())
-            .map(|(radius, _, _)| radius)
-    }
-
-    /// [`Engine::tolerance`] with an explicit [`TierTimer`], returning
-    /// the merged solver stats of every probe plus the aggregate answer
-    /// source: [`AnswerSource::Solver`] if any probe ran the solver,
-    /// else [`AnswerSource::SubsumptionHit`] if any probe (or the warm
-    /// bracket) answered by containment, else [`AnswerSource::ExactHit`].
-    /// The radius is bit-identical to the untimed call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if input/network widths disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` is out of range or `max_delta` outside
-    /// `[1, 100]`.
-    pub fn tolerance_traced(
+    fn radius(
         &self,
         x: &[Rational],
         label: usize,
         max_delta: i64,
         timer: TierTimer,
-    ) -> Result<(Option<i64>, BabStats, AnswerSource), ShapeError> {
-        assert!(label < self.net.outputs(), "label {label} out of range");
-        assert!(
-            (1..=100).contains(&max_delta),
-            "max_delta must be in [1, 100]"
-        );
-        self.validate(x, &NoiseRegion::symmetric(0, x.len()))?;
-
-        let mut acc = BabStats::default();
-        let mut solved = false;
-        let mut subsumed = false;
-        fn aggregate(solved: bool, subsumed: bool) -> AnswerSource {
-            if solved {
-                AnswerSource::Solver
-            } else if subsumed {
-                AnswerSource::SubsumptionHit
-            } else {
-                AnswerSource::ExactHit
-            }
-        }
-
-        let (robust_through, flips_at) = self
-            .cache
-            .lock()
-            .expect("engine cache poisoned")
-            .symmetric_bracket(x, label);
+    ) -> Result<Reply, QueryError> {
+        let (robust_through, flips_at) = lock(&self.region_cache).cache.symmetric_bracket(x, label);
+        let mut probes = Probes::default();
         if robust_through >= max_delta {
             // The warm bracket alone decided — a containment answer.
-            return Ok((None, acc, AnswerSource::SubsumptionHit));
+            probes.subsumed = true;
+            return Ok(probes.reply(Answer::Radius(None)));
         }
+        // `Some(max(‖w‖∞, 1))` iff `±delta` holds a counterexample `w`.
+        let flips = |delta: i64, probes: &mut Probes| -> Result<Option<i64>, QueryError> {
+            let region = NoiseRegion::symmetric(delta, x.len());
+            let (outcome, source, stats) =
+                self.region_check(x, label, &region, WitnessPolicy::VerdictOnly, timer)?;
+            probes.add(source, &stats);
+            Ok(outcome.counterexample().map(|ce| ce.noise.max_abs().max(1)))
+        };
         let mut lo = robust_through; // invariant: ±lo has no CE (or lo = 0)
         let mut hi = match flips_at.filter(|&m| m <= max_delta) {
             Some(m) => m, // invariant: ±hi contains a CE
-            None => {
-                let (outcome, source) = self.probe(
-                    x,
-                    label,
-                    &NoiseRegion::symmetric(max_delta, x.len()),
-                    timer,
-                    &mut acc,
-                )?;
-                solved |= source == AnswerSource::Solver;
-                subsumed |= source == AnswerSource::SubsumptionHit;
-                match outcome.counterexample() {
-                    None => return Ok((None, acc, aggregate(solved, subsumed))),
-                    Some(ce) => ce.noise.max_abs().max(1),
-                }
-            }
+            None => match flips(max_delta, &mut probes)? {
+                Some(m) => m,
+                None => return Ok(probes.reply(Answer::Radius(None))),
+            },
         };
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            let (outcome, source) = self.probe(
-                x,
-                label,
-                &NoiseRegion::symmetric(mid, x.len()),
-                timer,
-                &mut acc,
-            )?;
-            solved |= source == AnswerSource::Solver;
-            subsumed |= source == AnswerSource::SubsumptionHit;
-            match outcome.counterexample() {
-                Some(ce) => hi = ce.noise.max_abs().max(1),
+            match flips(mid, &mut probes)? {
+                Some(m) => hi = m,
                 None => lo = mid,
             }
         }
-        Ok((Some(hi), acc, aggregate(solved, subsumed)))
+        Ok(probes.reply(Answer::Radius(Some(hi))))
     }
-
-    /// Collects up to `cap` counterexamples in `region` (the P3
-    /// extraction primitive behind `sensitivity` requests). Uncached —
-    /// the result shape is a set, not a verdict — but it reuses the
-    /// resident float shadow and feeds the cumulative solver counters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if input/region/network widths disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` is out of range or `cap == 0`.
-    pub fn collect(
-        &self,
-        x: &[Rational],
-        label: usize,
-        region: &NoiseRegion,
-        cap: usize,
-    ) -> Result<(Vec<Counterexample>, bool, BabStats), ShapeError> {
-        let result = self
-            .checker()
-            .collect_region_counterexamples(x, label, region, cap)?;
-        self.solver_stats
-            .lock()
-            .expect("engine stats poisoned")
-            .merge(&result.2);
-        Ok(result)
-    }
-
-    /// Weight-fault robustness of `x` under `model`
-    /// ([`FaultChecker::check`]) through the fault-verdict cache,
-    /// namespaced by this engine's network fingerprint.
-    ///
-    /// Replies are **bit-identical** to a cold [`FaultChecker`] with the
-    /// default configuration: the cache reuses exact keys only (the
-    /// monotone weight-noise order is deliberately withheld — see
-    /// [`FaultVerdictCache`]), and the checker itself is deterministic.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on width mismatch, out-of-range label, or an
-    /// out-of-domain model.
-    pub fn fault_check(
-        &self,
-        x: &[Rational],
-        label: usize,
-        model: &FaultModel,
-    ) -> Result<FaultReply, String> {
-        self.fault_check_traced(x, label, model, TierTimer::disabled())
-    }
-
-    /// [`Engine::fault_check`] with an explicit [`TierTimer`] (see
-    /// [`Engine::check_traced`]); cache hits still report zero stats.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on width mismatch, out-of-range label, or an
-    /// out-of-domain model.
-    pub fn fault_check_traced(
-        &self,
-        x: &[Rational],
-        label: usize,
-        model: &FaultModel,
-        timer: TierTimer,
-    ) -> Result<FaultReply, String> {
-        // Validate before touching the cache (mirroring `check`), so
-        // malformed queries never skew the hit/miss accounting.
-        if x.len() != self.net.inputs() {
-            return Err(format!(
-                "input of width {} against network with {} inputs",
-                x.len(),
-                self.net.inputs()
-            ));
-        }
-        if label >= self.net.outputs() {
-            return Err(format!(
-                "label {label} out of range for {} outputs",
-                self.net.outputs()
-            ));
-        }
-        if !self.net.is_piecewise_linear() {
-            return Err("fault verification requires piecewise-linear activations".to_string());
-        }
-        model.validate(&self.net)?;
-        let hit = self
-            .fault_cache
-            .lock()
-            .expect("engine fault cache poisoned")
-            .lookup(x, label, model);
-        if let Some(outcome) = hit {
-            return Ok(FaultReply {
-                outcome,
-                source: AnswerSource::ExactHit,
-                stats: FaultStats::default(),
-            });
-        }
-        let (outcome, stats) = self.faults.check_timed(x, label, model, timer)?;
-        self.fault_stats
-            .lock()
-            .expect("engine fault stats poisoned")
-            .merge(&stats);
-        self.fault_cache
-            .lock()
-            .expect("engine fault cache poisoned")
-            .insert(x, label, model, outcome.clone());
-        Ok(FaultReply {
-            outcome,
-            source: AnswerSource::Solver,
-            stats,
-        })
-    }
-
-    /// Weight-noise fault tolerance of `x`
-    /// ([`FaultChecker::tolerance`]) with every bisection probe flowing
-    /// through [`Engine::fault_check`]'s cache — the probe sequence is a
-    /// pure function of the verdicts, which cached answers reproduce
-    /// exactly, so the result equals the cold search's bit for bit (a
-    /// warm repeat issues zero checker runs).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on width mismatch or out-of-range label.
-    pub fn fault_tolerance(
-        &self,
-        x: &[Rational],
-        label: usize,
-        search: &ToleranceSearch,
-    ) -> Result<FaultTolerance, String> {
-        self.fault_tolerance_traced(x, label, search, TierTimer::disabled())
-            .map(|(tolerance, _, _)| tolerance)
-    }
-
-    /// [`Engine::fault_tolerance`] with an explicit [`TierTimer`],
-    /// returning the merged checker stats of every bisection probe plus
-    /// the aggregate answer source ([`AnswerSource::Solver`] if any
-    /// probe ran the checker, else [`AnswerSource::ExactHit`] — the
-    /// fault cache has no subsumption path). The tolerance is
-    /// bit-identical to the untimed call.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on width mismatch or out-of-range label.
-    pub fn fault_tolerance_traced(
-        &self,
-        x: &[Rational],
-        label: usize,
-        search: &ToleranceSearch,
-        timer: TierTimer,
-    ) -> Result<(FaultTolerance, FaultStats, AnswerSource), String> {
-        let mut acc = FaultStats::default();
-        let mut solved = false;
-        let tolerance = tolerance_search(search, |eps| {
-            let reply = self.fault_check_traced(
-                x,
-                label,
-                &FaultModel::WeightNoise { rel_eps: eps },
-                timer,
-            )?;
-            acc.merge(&reply.stats);
-            solved |= reply.source == AnswerSource::Solver;
-            Ok::<_, String>(reply.outcome)
-        })?;
-        let source = if solved {
-            AnswerSource::Solver
-        } else {
-            AnswerSource::ExactHit
-        };
-        Ok((tolerance, acc, source))
-    }
-
-    /// Cumulative fault-checker counters across every cold fault run.
-    #[must_use]
-    pub fn fault_solver_stats(&self) -> FaultStats {
-        *self
-            .fault_stats
-            .lock()
-            .expect("engine fault stats poisoned")
-    }
-
-    /// Lifetime fault-cache counters.
-    #[must_use]
-    pub fn fault_cache_stats(&self) -> FaultCacheStats {
-        self.fault_cache
-            .lock()
-            .expect("engine fault cache poisoned")
-            .stats()
-    }
-
-    /// Number of cached fault verdicts.
-    #[must_use]
-    pub fn fault_cache_len(&self) -> usize {
-        self.fault_cache
-            .lock()
-            .expect("engine fault cache poisoned")
-            .len()
-    }
-
-    /// Joint input×weight robustness of `x` under `noise` and `model`
-    /// ([`JointChecker::check`]) through the joint-verdict cache — its
-    /// own namespace, keyed by `(input, label, noise ranges, model)`
-    /// under this engine's network fingerprint.
-    ///
-    /// Replies are **bit-identical** to a cold [`JointChecker`] with
-    /// the default configuration: the cache reuses exact keys only (the
-    /// monotone (δ, ε) order is withheld for the same incompleteness
-    /// reason as the fault cache's) and the checker is deterministic.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on width mismatch, out-of-range label, or an
-    /// out-of-domain model.
-    pub fn joint_check(
-        &self,
-        x: &[Rational],
-        label: usize,
-        noise: &NoiseRegion,
-        model: &FaultModel,
-    ) -> Result<JointReply, String> {
-        self.joint_check_traced(x, label, noise, model, TierTimer::disabled())
-    }
-
-    /// [`Engine::joint_check`] with an explicit [`TierTimer`] (see
-    /// [`Engine::check_traced`]); cache hits still report zero stats.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on width mismatch, out-of-range label, or an
-    /// out-of-domain model.
-    pub fn joint_check_traced(
-        &self,
-        x: &[Rational],
-        label: usize,
-        noise: &NoiseRegion,
-        model: &FaultModel,
-        timer: TierTimer,
-    ) -> Result<JointReply, String> {
-        // Validate before touching the cache, so malformed queries
-        // never skew the hit/miss accounting.
-        if x.len() != self.net.inputs() {
-            return Err(format!(
-                "input of width {} against network with {} inputs",
-                x.len(),
-                self.net.inputs()
-            ));
-        }
-        if noise.nodes() != self.net.inputs() {
-            return Err(format!(
-                "noise region over {} nodes against network with {} inputs",
-                noise.nodes(),
-                self.net.inputs()
-            ));
-        }
-        if label >= self.net.outputs() {
-            return Err(format!(
-                "label {label} out of range for {} outputs",
-                self.net.outputs()
-            ));
-        }
-        if !self.net.is_piecewise_linear() {
-            return Err("fault verification requires piecewise-linear activations".to_string());
-        }
-        model.validate(&self.net)?;
-        let hit = self
-            .joint_cache
-            .lock()
-            .expect("engine joint cache poisoned")
-            .lookup(x, label, noise, model);
-        if let Some(outcome) = hit {
-            return Ok(JointReply {
-                outcome,
-                source: AnswerSource::ExactHit,
-                stats: FaultStats::default(),
-            });
-        }
-        let (outcome, stats) = self.joint.check_timed(x, label, noise, model, timer)?;
-        self.joint_stats
-            .lock()
-            .expect("engine joint stats poisoned")
-            .merge(&stats);
-        self.joint_cache
-            .lock()
-            .expect("engine joint cache poisoned")
-            .insert(x, label, noise, model, outcome.clone());
-        Ok(JointReply {
-            outcome,
-            source: AnswerSource::Solver,
-            stats,
-        })
-    }
-
-    /// Joint tolerance at a fixed noise radius
-    /// ([`JointChecker::tolerance`]) with every bisection probe flowing
-    /// through [`Engine::joint_check`]'s cache — the probe sequence is
-    /// a pure function of the verdicts, which cached answers reproduce
-    /// exactly, so the result equals the cold search's bit for bit (a
-    /// warm repeat issues zero checker runs).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on width mismatch or out-of-range label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta` is outside `[0, 100]` or the grid is invalid.
-    pub fn joint_tolerance(
-        &self,
-        x: &[Rational],
-        label: usize,
-        delta: i64,
-        search: &ToleranceSearch,
-    ) -> Result<JointTolerance, String> {
-        self.joint_tolerance_traced(x, label, delta, search, TierTimer::disabled())
-            .map(|(tolerance, _, _)| tolerance)
-    }
-
-    /// [`Engine::joint_tolerance`] with an explicit [`TierTimer`] (see
-    /// [`Engine::fault_tolerance_traced`] for the stats/source
-    /// aggregation rules).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on width mismatch or out-of-range label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta` is outside `[0, 100]` or the grid is invalid.
-    pub fn joint_tolerance_traced(
-        &self,
-        x: &[Rational],
-        label: usize,
-        delta: i64,
-        search: &ToleranceSearch,
-        timer: TierTimer,
-    ) -> Result<(JointTolerance, FaultStats, AnswerSource), String> {
-        let noise = NoiseRegion::symmetric(delta, x.len());
-        let mut acc = FaultStats::default();
-        let mut solved = false;
-        let tolerance = fannet_search::tolerance_search(search, |eps| {
-            let reply = self.joint_check_traced(
-                x,
-                label,
-                &noise,
-                &FaultModel::WeightNoise { rel_eps: eps },
-                timer,
-            )?;
-            acc.merge(&reply.stats);
-            solved |= reply.source == AnswerSource::Solver;
-            Ok::<_, String>(reply.outcome.is_robust())
-        })?;
-        let source = if solved {
-            AnswerSource::Solver
-        } else {
-            AnswerSource::ExactHit
-        };
-        Ok((tolerance, acc, source))
-    }
-
-    /// Cumulative joint-checker counters across every cold joint run.
-    #[must_use]
-    pub fn joint_solver_stats(&self) -> FaultStats {
-        *self
-            .joint_stats
-            .lock()
-            .expect("engine joint stats poisoned")
-    }
-
-    /// Lifetime joint-cache counters.
-    #[must_use]
-    pub fn joint_cache_stats(&self) -> ExactCacheStats {
-        self.joint_cache
-            .lock()
-            .expect("engine joint cache poisoned")
-            .stats()
-    }
-
-    /// Number of cached joint verdicts.
-    #[must_use]
-    pub fn joint_cache_len(&self) -> usize {
-        self.joint_cache
-            .lock()
-            .expect("engine joint cache poisoned")
-            .len()
-    }
-}
-
-/// An engine answer to a fault query: the outcome plus how it was
-/// obtained (`stats` are zero on cache hits, mirroring [`CheckReply`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultReply {
-    /// The verdict, bit-identical to a cold [`FaultChecker`] run.
-    pub outcome: FaultOutcome,
-    /// Cache path that produced it (fault lookups are exact-key only, so
-    /// [`AnswerSource::SubsumptionHit`] never appears here).
-    pub source: AnswerSource,
-    /// Fault-checker counters of this answer (zero on cache hits).
-    pub stats: FaultStats,
-}
-
-/// An engine answer to a joint input×weight query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JointReply {
-    /// The verdict, bit-identical to a cold [`JointChecker`] run.
-    pub outcome: JointOutcome,
-    /// Cache path that produced it (joint lookups are exact-key only,
-    /// so [`AnswerSource::SubsumptionHit`] never appears here).
-    pub source: AnswerSource,
-    /// Joint-checker counters of this answer (zero on cache hits).
-    pub stats: FaultStats,
 }
 
 #[cfg(test)]
@@ -952,19 +743,59 @@ mod tests {
         Engine::new(comparator(), EngineConfig::serving())
     }
 
+    fn ask(e: &Engine, x: &[Rational], label: usize, kind: QueryKind) -> Result<Reply, QueryError> {
+        let query = Query {
+            input: x.to_vec(),
+            label,
+            kind,
+        };
+        e.answer(&query, TierTimer::disabled())
+    }
+
+    fn check(e: &Engine, x: &[Rational], label: usize, region: NoiseRegion) -> Reply {
+        ask(e, x, label, QueryKind::Check { region }).unwrap()
+    }
+
+    fn outcome(reply: &Reply) -> &RegionOutcome {
+        match &reply.answer {
+            Answer::Region(outcome) => outcome,
+            other => panic!("not a region answer: {other:?}"),
+        }
+    }
+
+    fn radius(e: &Engine, x: &[Rational], label: usize, max_delta: i64) -> Option<i64> {
+        match ask(e, x, label, QueryKind::Tolerance { max_delta })
+            .unwrap()
+            .answer
+        {
+            Answer::Radius(radius) => radius,
+            other => panic!("not a radius: {other:?}"),
+        }
+    }
+
+    fn eps(n: i128) -> FaultModel {
+        FaultModel::WeightNoise {
+            rel_eps: Rational::new(n, 100),
+        }
+    }
+
     #[test]
     fn check_cold_then_exact_hit() {
         let e = engine();
         let x = [r(100), r(82)];
         let region = NoiseRegion::symmetric(5, 2);
-        let first = e.check(&x, 0, &region).unwrap();
+        let first = check(&e, &x, 0, region.clone());
         assert_eq!(first.source, AnswerSource::Solver);
-        assert!(first.outcome.is_robust());
-        let second = e.check(&x, 0, &region).unwrap();
+        assert!(outcome(&first).is_robust());
+        let second = check(&e, &x, 0, region);
         assert_eq!(second.source, AnswerSource::ExactHit);
-        assert_eq!(second.outcome, first.outcome);
-        assert_eq!(second.stats, BabStats::default(), "cache hits do no work");
-        let s = e.stats();
+        assert_eq!(second.answer, first.answer);
+        assert_eq!(
+            second.stats,
+            SearchStats::default(),
+            "cache hits do no work"
+        );
+        let s = e.counters().region.cache;
         assert_eq!((s.exact_hits, s.misses), (1, 1));
     }
 
@@ -972,11 +803,11 @@ mod tests {
     fn robust_subsumption_answers_nested_check() {
         let e = engine();
         let x = [r(100), r(82)];
-        let _ = e.check(&x, 0, &NoiseRegion::symmetric(9, 2)).unwrap();
-        let nested = e.check(&x, 0, &NoiseRegion::symmetric(3, 2)).unwrap();
+        let _ = check(&e, &x, 0, NoiseRegion::symmetric(9, 2));
+        let nested = check(&e, &x, 0, NoiseRegion::symmetric(3, 2));
         assert_eq!(nested.source, AnswerSource::SubsumptionHit);
-        assert!(nested.outcome.is_robust());
-        assert_eq!(e.stats().subsumption_hits, 1);
+        assert!(outcome(&nested).is_robust());
+        assert_eq!(e.counters().region.cache.subsumption_hits, 1);
     }
 
     #[test]
@@ -987,10 +818,10 @@ mod tests {
         for _ in 0..2 {
             for delta in [3, 9, 12, 20, 7] {
                 let region = NoiseRegion::symmetric(delta, 2);
-                let reply = e.check(&x, 0, &region).unwrap();
+                let reply = check(&e, &x, 0, region.clone());
                 let (cold, _) =
                     bab::check_region(e.network(), &x, 0, &region, &ExclusionSet::new()).unwrap();
-                assert_eq!(reply.outcome, cold, "delta {delta}");
+                assert_eq!(outcome(&reply), &cold, "delta {delta}");
             }
         }
     }
@@ -1005,7 +836,7 @@ mod tests {
             (100, 50, None),
         ] {
             let x = [r(i128::from(x0)), r(i128::from(x1))];
-            assert_eq!(e.tolerance(&x, 0, 20).unwrap(), want, "({x0}, {x1})");
+            assert_eq!(radius(&e, &x, 0, 20), want, "({x0}, {x1})");
         }
     }
 
@@ -1013,19 +844,14 @@ mod tests {
     fn repeated_tolerance_resolves_from_cache_alone() {
         let e = engine();
         let x = [r(100), r(82)];
-        assert_eq!(e.tolerance(&x, 0, 20).unwrap(), Some(10));
-        let misses_before = e.stats().misses;
-        let subsumed_before = e.stats().subsumption_hits;
-        assert_eq!(e.tolerance(&x, 0, 20).unwrap(), Some(10));
-        assert_eq!(
-            e.stats().misses,
-            misses_before,
-            "no solver runs on re-search"
-        );
+        assert_eq!(radius(&e, &x, 0, 20), Some(10));
+        let before = e.counters().region.cache;
+        assert_eq!(radius(&e, &x, 0, 20), Some(10));
+        let after = e.counters().region.cache;
+        assert_eq!(after.misses, before.misses, "no solver runs on re-search");
         assert!(
-            e.stats().subsumption_hits > subsumed_before,
-            "the warm-start bracket is a subsumption answer: {:?}",
-            e.stats()
+            after.subsumption_hits > before.subsumption_hits,
+            "the warm-start bracket is a subsumption answer: {after:?}"
         );
     }
 
@@ -1035,34 +861,102 @@ mod tests {
         let x = [r(100), r(82)];
         // Prior check traffic proves ±9 robust; the radius search's
         // bracket reuses that verdict instead of re-probing below it.
-        let _ = e.check(&x, 0, &NoiseRegion::symmetric(9, 2)).unwrap();
-        let subsumed_before = e.stats().subsumption_hits;
-        assert_eq!(e.tolerance(&x, 0, 50).unwrap(), Some(10));
-        assert!(e.stats().subsumption_hits > subsumed_before);
+        let _ = check(&e, &x, 0, NoiseRegion::symmetric(9, 2));
+        let subsumed_before = e.counters().region.cache.subsumption_hits;
+        assert_eq!(radius(&e, &x, 0, 50), Some(10));
+        assert!(e.counters().region.cache.subsumption_hits > subsumed_before);
         // All later probes stay strictly above the bracket's floor.
-        assert_eq!(e.tolerance(&x, 0, 9).unwrap(), None, "±9 is proven robust");
+        assert_eq!(radius(&e, &x, 0, 9), None, "±9 is proven robust");
     }
 
     #[test]
     fn collect_feeds_solver_stats() {
         let e = engine();
         let x = [r(100), r(99)];
-        let (ces, exhausted, _) = e
-            .collect(&x, 0, &NoiseRegion::symmetric(3, 2), usize::MAX)
-            .unwrap();
-        assert!(exhausted);
-        assert!(!ces.is_empty());
-        assert!(e.solver_stats().boxes_visited > 0);
+        let reply = ask(
+            &e,
+            &x,
+            0,
+            QueryKind::Sensitivity {
+                region: NoiseRegion::symmetric(3, 2),
+                cap: usize::MAX,
+            },
+        )
+        .unwrap();
+        let Answer::Counterexamples { found, exhausted } = &reply.answer else {
+            panic!("{reply:?}");
+        };
+        assert!(*exhausted);
+        assert!(!found.is_empty());
+        assert!(e.counters().region.solver.boxes_visited > 0);
+    }
+
+    /// Asserts that `kind` on `(x, label)` is refused and that no
+    /// counter of any domain moved.
+    fn assert_refused(e: &Engine, x: &[Rational], label: usize, kind: QueryKind) {
+        let before = e.counters();
+        let got = ask(e, x, label, kind.clone());
+        assert!(got.is_err(), "{kind:?} on {x:?}/{label} answered {got:?}");
+        assert_eq!(e.counters(), before, "{kind:?} touched a cache");
+    }
+
+    /// One valid instance of every query kind over `nodes` inputs.
+    fn every_kind(nodes: usize) -> Vec<QueryKind> {
+        let grid = ToleranceSearch::new(100, 10);
+        vec![
+            QueryKind::Check {
+                region: NoiseRegion::symmetric(1, nodes),
+            },
+            QueryKind::Tolerance { max_delta: 10 },
+            QueryKind::Sensitivity {
+                region: NoiseRegion::symmetric(1, nodes),
+                cap: 4,
+            },
+            QueryKind::FaultCheck { model: eps(1) },
+            QueryKind::FaultTolerance { search: grid },
+            QueryKind::JointCheck {
+                region: NoiseRegion::symmetric(1, nodes),
+                model: eps(1),
+            },
+            QueryKind::JointTolerance {
+                delta: 1,
+                search: grid,
+            },
+        ]
     }
 
     #[test]
     fn width_mismatches_are_errors_not_panics() {
         let e = engine();
-        assert!(e.check(&[r(1)], 0, &NoiseRegion::symmetric(1, 2)).is_err());
-        assert!(e
-            .check(&[r(1), r(2)], 0, &NoiseRegion::symmetric(1, 3))
-            .is_err());
-        assert!(e.tolerance(&[r(1)], 0, 10).is_err());
+        // A populated cache, so "unchanged" is not trivially all zeros.
+        for kind in every_kind(2) {
+            ask(&e, &[r(100), r(82)], 0, kind).unwrap();
+        }
+        for kind in every_kind(2) {
+            assert_refused(&e, &[r(1)], 0, kind);
+        }
+        // Regions over the wrong number of nodes, right-width input.
+        for kind in every_kind(3) {
+            if matches!(
+                kind,
+                QueryKind::Check { .. }
+                    | QueryKind::Sensitivity { .. }
+                    | QueryKind::JointCheck { .. }
+            ) {
+                assert_refused(&e, &[r(1), r(2)], 0, kind);
+            }
+        }
+        // An out-of-range label, for every kind, is refused before any
+        // solver sees it.
+        for kind in every_kind(2) {
+            assert_refused(&e, &[r(1), r(2)], 2, kind);
+        }
+        let x = [r(100), r(82)];
+        for max_delta in [0, 101, -3] {
+            assert_refused(&e, &x, 0, QueryKind::Tolerance { max_delta });
+        }
+        let region = NoiseRegion::symmetric(1, 2);
+        assert_refused(&e, &x, 0, QueryKind::Sensitivity { region, cap: 0 });
     }
 
     #[test]
@@ -1077,24 +971,23 @@ mod tests {
         let e = engine();
         let x = [r(100), r(82)];
         let cold_checker = FaultChecker::new(comparator(), FaultCheckerConfig::default());
-        for eps in [(1i128, 100i128), (5, 100), (15, 100)] {
-            let model = FaultModel::WeightNoise {
-                rel_eps: Rational::new(eps.0, eps.1),
-            };
+        for n in [1, 5, 15] {
+            let model = eps(n);
             let (cold, cold_stats) = cold_checker.check(&x, 0, &model).unwrap();
-            let first = e.fault_check(&x, 0, &model).unwrap();
+            let kind = QueryKind::FaultCheck { model };
+            let first = ask(&e, &x, 0, kind.clone()).unwrap();
             assert_eq!(first.source, AnswerSource::Solver);
-            assert_eq!(first.outcome, cold, "eps {eps:?}");
+            assert_eq!(first.answer, Answer::Fault(cold.clone()), "eps {n}/100");
             assert_eq!(first.stats, cold_stats);
-            let warm = e.fault_check(&x, 0, &model).unwrap();
+            let warm = ask(&e, &x, 0, kind).unwrap();
             assert_eq!(warm.source, AnswerSource::ExactHit);
-            assert_eq!(warm.outcome, cold);
-            assert_eq!(warm.stats, FaultStats::default(), "hits do no work");
+            assert_eq!(warm.answer, Answer::Fault(cold));
+            assert_eq!(warm.stats, SearchStats::default(), "hits do no work");
         }
-        let stats = e.fault_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (3, 3));
-        assert_eq!(e.fault_cache_len(), 3);
-        assert!(e.fault_solver_stats().concrete_evals > 0);
+        let fault = e.counters().fault;
+        assert_eq!((fault.cache.exact_hits, fault.cache.misses), (3, 3));
+        assert_eq!(fault.len, 3);
+        assert!(fault.solver.concrete_evals > 0);
     }
 
     #[test]
@@ -1105,14 +998,20 @@ mod tests {
         for (x0, x1) in [(100i128, 82i128), (100, 95), (100, 50)] {
             let x = [r(x0), r(x1)];
             let (cold, _) = cold_checker.tolerance(&x, 0, &search).unwrap();
-            let warm = e.fault_tolerance(&x, 0, &search).unwrap();
-            assert_eq!(warm, cold, "({x0}, {x1})");
-            // The repeat resolves every probe from the cache.
-            let misses_before = e.fault_cache_stats().misses;
-            let again = e.fault_tolerance(&x, 0, &search).unwrap();
-            assert_eq!(again, cold);
+            let kind = QueryKind::FaultTolerance { search };
+            let warm = ask(&e, &x, 0, kind.clone()).unwrap();
             assert_eq!(
-                e.fault_cache_stats().misses,
+                warm.answer,
+                Answer::FaultTolerance(cold.clone()),
+                "({x0}, {x1})"
+            );
+            // The repeat resolves every probe from the cache.
+            let misses_before = e.counters().fault.cache.misses;
+            let again = ask(&e, &x, 0, kind).unwrap();
+            assert_eq!(again.answer, Answer::FaultTolerance(cold));
+            assert_eq!(again.source, AnswerSource::ExactHit);
+            assert_eq!(
+                e.counters().fault.cache.misses,
                 misses_before,
                 "warm re-search must issue zero checker runs"
             );
@@ -1127,13 +1026,13 @@ mod tests {
         // the error per request, and invalid queries never touch the
         // fault cache's hit/miss accounting.
         let net = Network::new(
-            vec![fannet_nn::DenseLayer::new(
-                fannet_tensor::Matrix::from_rows(vec![vec![r(1), r(0)], vec![r(0), r(1)]]).unwrap(),
+            vec![DenseLayer::new(
+                Matrix::from_rows(vec![vec![r(1), r(0)], vec![r(0), r(1)]]).unwrap(),
                 vec![r(0), r(0)],
-                fannet_nn::Activation::Sigmoid,
+                Activation::Sigmoid,
             )
             .unwrap()],
-            fannet_nn::Readout::MaxPool,
+            Readout::MaxPool,
         )
         .unwrap();
         let e = Engine::new(
@@ -1143,17 +1042,16 @@ mod tests {
                 cache_capacity: 16,
             },
         );
-        let model = FaultModel::WeightNoise {
-            rel_eps: Rational::new(1, 100),
-        };
-        let err = e.fault_check(&[r(1), r(2)], 0, &model).unwrap_err();
-        assert!(err.contains("piecewise-linear"), "{err}");
+        let kind = QueryKind::FaultCheck { model: eps(1) };
+        let err = ask(&e, &[r(1), r(2)], 0, kind.clone()).unwrap_err();
+        assert!(err.to_string().contains("piecewise-linear"), "{err}");
         // Width/label/admissibility failures are all rejected before the
         // cache, so the hit/miss accounting stays clean.
-        assert!(e.fault_check(&[r(1)], 0, &model).is_err());
-        assert!(e.fault_check(&[r(1), r(2)], 9, &model).is_err());
-        let stats = e.fault_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0), "{stats:?}");
+        assert_refused(&e, &[r(1)], 0, kind.clone());
+        assert_refused(&e, &[r(1), r(2)], 9, kind);
+        let search = ToleranceSearch::new(100, 10);
+        assert_refused(&e, &[r(1), r(2)], 0, QueryKind::FaultTolerance { search });
+        assert_eq!(e.counters(), Counters::default());
     }
 
     #[test]
@@ -1161,27 +1059,30 @@ mod tests {
         let e = engine();
         let x = [r(100), r(82)];
         let cold_checker = JointChecker::new(comparator(), FaultCheckerConfig::default());
-        let noise = NoiseRegion::symmetric(3, 2);
-        for eps in [(1i128, 100i128), (4, 100), (15, 100)] {
-            let model = FaultModel::WeightNoise {
-                rel_eps: Rational::new(eps.0, eps.1),
+        let region = NoiseRegion::symmetric(3, 2);
+        for n in [1, 4, 15] {
+            let model = eps(n);
+            let (cold, cold_stats) = cold_checker.check(&x, 0, &region, &model).unwrap();
+            let kind = QueryKind::JointCheck {
+                region: region.clone(),
+                model,
             };
-            let (cold, cold_stats) = cold_checker.check(&x, 0, &noise, &model).unwrap();
-            let first = e.joint_check(&x, 0, &noise, &model).unwrap();
+            let first = ask(&e, &x, 0, kind.clone()).unwrap();
             assert_eq!(first.source, AnswerSource::Solver);
-            assert_eq!(first.outcome, cold, "eps {eps:?}");
+            assert_eq!(first.answer, Answer::Joint(cold.clone()), "eps {n}/100");
             assert_eq!(first.stats, cold_stats);
-            let warm = e.joint_check(&x, 0, &noise, &model).unwrap();
+            let warm = ask(&e, &x, 0, kind).unwrap();
             assert_eq!(warm.source, AnswerSource::ExactHit);
-            assert_eq!(warm.outcome, cold);
-            assert_eq!(warm.stats, FaultStats::default(), "hits do no work");
+            assert_eq!(warm.answer, Answer::Joint(cold));
+            assert_eq!(warm.stats, SearchStats::default(), "hits do no work");
         }
-        let stats = e.joint_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (3, 3));
-        assert_eq!(e.joint_cache_len(), 3);
-        assert!(e.joint_solver_stats().concrete_evals > 0);
+        let counters = e.counters();
+        let joint = counters.joint;
+        assert_eq!((joint.cache.exact_hits, joint.cache.misses), (3, 3));
+        assert_eq!(joint.len, 3);
+        assert!(joint.solver.concrete_evals > 0);
         // The joint namespace is disjoint from the fault cache.
-        assert_eq!(e.fault_cache_len(), 0);
+        assert_eq!(counters.fault.len, 0);
     }
 
     #[test]
@@ -1192,14 +1093,19 @@ mod tests {
         for delta in [0i64, 2, 5] {
             let x = [r(100), r(82)];
             let (cold, _) = cold_checker.tolerance(&x, 0, delta, &search).unwrap();
-            let warm = e.joint_tolerance(&x, 0, delta, &search).unwrap();
-            assert_eq!(warm, cold, "delta {delta}");
-            // The repeat resolves every probe from the cache.
-            let misses_before = e.joint_cache_stats().misses;
-            let again = e.joint_tolerance(&x, 0, delta, &search).unwrap();
-            assert_eq!(again, cold);
+            let kind = QueryKind::JointTolerance { delta, search };
+            let warm = ask(&e, &x, 0, kind.clone()).unwrap();
             assert_eq!(
-                e.joint_cache_stats().misses,
+                warm.answer,
+                Answer::JointTolerance(cold.clone()),
+                "delta {delta}"
+            );
+            // The repeat resolves every probe from the cache.
+            let misses_before = e.counters().joint.cache.misses;
+            let again = ask(&e, &x, 0, kind).unwrap();
+            assert_eq!(again.answer, Answer::JointTolerance(cold));
+            assert_eq!(
+                e.counters().joint.cache.misses,
                 misses_before,
                 "warm re-search must issue zero checker runs"
             );
@@ -1209,37 +1115,162 @@ mod tests {
     #[test]
     fn joint_queries_reject_bad_inputs() {
         let e = engine();
-        let model = FaultModel::WeightNoise {
-            rel_eps: Rational::new(1, 100),
+        let grid = ToleranceSearch::new(100, 10);
+        let region = || NoiseRegion::symmetric(2, 2);
+        let joint = || QueryKind::JointCheck {
+            region: region(),
+            model: eps(1),
         };
-        let noise = NoiseRegion::symmetric(2, 2);
-        assert!(e.joint_check(&[r(1)], 0, &noise, &model).is_err());
-        assert!(e.joint_check(&[r(1), r(2)], 9, &noise, &model).is_err());
-        assert!(e
-            .joint_check(&[r(1), r(2)], 0, &NoiseRegion::symmetric(1, 3), &model)
-            .is_err());
-        let stats = e.joint_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0), "{stats:?}");
+        assert_refused(&e, &[r(1)], 0, joint());
+        assert_refused(&e, &[r(1), r(2)], 9, joint());
+        assert_refused(
+            &e,
+            &[r(1), r(2)],
+            0,
+            QueryKind::JointCheck {
+                region: NoiseRegion::symmetric(1, 3),
+                model: eps(1),
+            },
+        );
+        assert_refused(
+            &e,
+            &[r(1), r(2)],
+            0,
+            QueryKind::JointCheck {
+                region: region(),
+                model: FaultModel::StuckAt {
+                    layer: 7,
+                    neuron: 0,
+                    value: Rational::ZERO,
+                },
+            },
+        );
+        for delta in [101, -1] {
+            let kind = QueryKind::JointTolerance {
+                delta,
+                search: grid,
+            };
+            assert_refused(&e, &[r(100), r(82)], 0, kind);
+        }
+        let bad_grid = ToleranceSearch {
+            denom: 0,
+            max_numer: 10,
+        };
+        let kind = QueryKind::JointTolerance {
+            delta: 1,
+            search: bad_grid,
+        };
+        assert_refused(&e, &[r(100), r(82)], 0, kind);
+        assert_refused(
+            &e,
+            &[r(1), r(2)],
+            9,
+            QueryKind::JointTolerance {
+                delta: 1,
+                search: grid,
+            },
+        );
+        assert_eq!(e.counters(), Counters::default());
     }
 
     #[test]
     fn fault_queries_reject_bad_inputs() {
         let e = engine();
-        let model = FaultModel::WeightNoise {
-            rel_eps: Rational::new(1, 100),
-        };
-        assert!(e.fault_check(&[r(1)], 0, &model).is_err());
-        assert!(e.fault_check(&[r(1), r(2)], 9, &model).is_err());
-        assert!(e
-            .fault_check(
-                &[r(1), r(2)],
-                0,
-                &FaultModel::StuckAt {
-                    layer: 7,
-                    neuron: 0,
-                    value: Rational::ZERO,
+        let fault = |model| QueryKind::FaultCheck { model };
+        assert_refused(&e, &[r(1)], 0, fault(eps(1)));
+        assert_refused(&e, &[r(1), r(2)], 9, fault(eps(1)));
+        assert_refused(
+            &e,
+            &[r(1), r(2)],
+            0,
+            fault(FaultModel::StuckAt {
+                layer: 7,
+                neuron: 0,
+                value: Rational::ZERO,
+            }),
+        );
+        assert_refused(&e, &[r(1), r(2)], 0, fault(eps(-1)));
+        let grid = ToleranceSearch::new(100, 10);
+        assert_refused(&e, &[r(1)], 0, QueryKind::FaultTolerance { search: grid });
+        assert_refused(
+            &e,
+            &[r(1), r(2)],
+            9,
+            QueryKind::FaultTolerance { search: grid },
+        );
+        for search in [
+            ToleranceSearch {
+                denom: 0,
+                max_numer: 10,
+            },
+            ToleranceSearch {
+                denom: 100,
+                max_numer: -1,
+            },
+        ] {
+            assert_refused(&e, &[r(1), r(2)], 0, QueryKind::FaultTolerance { search });
+        }
+        assert_eq!(e.counters(), Counters::default());
+    }
+
+    #[test]
+    fn cumulative_solver_counters_are_the_merge_of_every_reply() {
+        // A mixed stream of all seven kinds, cold then warm, alternating
+        // timed and untimed calls: each domain's cumulative counters must
+        // equal the merge of the per-reply stats routed to it — the
+        // counters now live under the cache locks, and nothing may be
+        // booked twice or dropped.
+        let e = engine();
+        let mut want = Counters::default();
+        let inputs = [[r(100), r(82)], [r(100), r(99)], [r(60), r(90)]];
+        let mut n = 0;
+        for _round in 0..2 {
+            for x in &inputs {
+                let label = e.network().classify(x).unwrap();
+                for kind in every_kind(2).into_iter().chain([
+                    QueryKind::Check {
+                        region: NoiseRegion::symmetric(12, 2),
+                    },
+                    QueryKind::Tolerance { max_delta: 40 },
+                    QueryKind::FaultCheck { model: eps(20) },
+                ]) {
+                    let timer = if n % 2 == 0 {
+                        TierTimer::disabled()
+                    } else {
+                        TierTimer::enabled()
+                    };
+                    n += 1;
+                    let query = Query {
+                        input: x.to_vec(),
+                        label,
+                        kind,
+                    };
+                    let reply = e.answer(&query, timer).unwrap();
+                    let domain = match query.kind {
+                        QueryKind::Check { .. }
+                        | QueryKind::Tolerance { .. }
+                        | QueryKind::Sensitivity { .. } => &mut want.region,
+                        QueryKind::FaultCheck { .. } | QueryKind::FaultTolerance { .. } => {
+                            &mut want.fault
+                        }
+                        QueryKind::JointCheck { .. } | QueryKind::JointTolerance { .. } => {
+                            &mut want.joint
+                        }
+                    };
+                    domain.solver.merge(&reply.stats);
                 }
-            )
-            .is_err());
+            }
+        }
+        let got = e.counters();
+        assert_eq!(got.region.solver, want.region.solver);
+        assert_eq!(got.fault.solver, want.fault.solver);
+        assert_eq!(got.joint.solver, want.joint.solver);
+        for domain in [got.region, got.fault, got.joint] {
+            assert!(domain.solver.boxes_visited > 0, "{got:?}");
+            assert!(
+                domain.cache.misses > 0 && domain.cache.exact_hits > 0,
+                "{got:?}"
+            );
+        }
     }
 }

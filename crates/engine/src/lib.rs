@@ -12,13 +12,15 @@
 //! [`Engine`] exploits that structure:
 //!
 //! * [`engine`] — owns the network, its content [`fingerprint`]
-//!   namespace, the float shadow and the checker configuration; answers
-//!   witness-exact checks, verdict-level probes, incremental tolerance
-//!   searches and P3 extractions.
-//! * [`cache`] — the subsumption-aware LRU verdict cache with
-//!   [`EngineStats`] accounting.
-//! * [`batch`] — order-preserving parallel dispatch of independent
-//!   requests against one engine.
+//!   namespace, the float shadow and the checker configuration, and
+//!   answers every [`Query`] — region, fault and joint checks and
+//!   tolerance searches, plus P3 extractions — through
+//!   [`Engine::answer`], one validate → lookup → solve → merge-and-insert
+//!   path.
+//! * [`cache`] — the subsumption-aware region-verdict cache and the
+//!   exact-key LRU behind the fault and joint verdicts, with
+//!   [`EngineStats`] accounting ([`Engine::counters`] snapshots all
+//!   three domains).
 //! * [`protocol`] — the JSONL request/response wire format of
 //!   `fannet serve`.
 //!
@@ -30,9 +32,10 @@
 //! ## Example
 //!
 //! ```
-//! use fannet_engine::{Engine, EngineConfig};
+//! use fannet_engine::{Answer, Engine, EngineConfig, Query, QueryKind};
 //! use fannet_nn::{Activation, DenseLayer, Network, Readout};
 //! use fannet_numeric::Rational;
+//! use fannet_search::TierTimer;
 //! use fannet_tensor::Matrix;
 //! use fannet_verify::region::NoiseRegion;
 //!
@@ -44,28 +47,31 @@
 //! )?], Readout::MaxPool)?;
 //!
 //! let engine = Engine::new(net, EngineConfig::serving());
-//! let x = [r(100), r(82)];
+//! let check = |delta| Query {
+//!     input: vec![r(100), r(82)],
+//!     label: 0,
+//!     kind: QueryKind::Check { region: NoiseRegion::symmetric(delta, 2) },
+//! };
 //! // First answer runs the solver; the repeat is an exact cache hit.
-//! let cold = engine.check(&x, 0, &NoiseRegion::symmetric(5, 2))?;
-//! let warm = engine.check(&x, 0, &NoiseRegion::symmetric(5, 2))?;
-//! assert_eq!(cold.outcome, warm.outcome);
-//! assert_eq!(engine.stats().exact_hits, 1);
+//! let cold = engine.answer(&check(5), TierTimer::disabled())?;
+//! let warm = engine.answer(&check(5), TierTimer::disabled())?;
+//! assert_eq!(cold.answer, warm.answer);
+//! assert_eq!(engine.counters().region.cache.exact_hits, 1);
 //! // The robust proof at ±5 also answers any nested region.
-//! let nested = engine.check(&x, 0, &NoiseRegion::symmetric(2, 2))?;
-//! assert!(nested.outcome.is_robust());
-//! assert_eq!(engine.stats().subsumption_hits, 1);
+//! let nested = engine.answer(&check(2), TierTimer::disabled())?;
+//! assert!(matches!(nested.answer, Answer::Region(ref o) if o.is_robust()));
+//! assert_eq!(engine.counters().region.cache.subsumption_hits, 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod engine;
 pub mod protocol;
 pub mod stats;
 
-pub use engine::{AnswerSource, CheckReply, Engine, EngineConfig, FaultReply, JointReply};
+pub use engine::{Answer, AnswerSource, Engine, EngineConfig, Query, QueryError, QueryKind, Reply};
 pub use fannet_nn::fingerprint;
 pub use stats::{
-    ConnectionInfo, EngineStats, LatencyStats, OpCounts, OpLatency, OpWindow, PhaseLatencyStats,
-    ServerStats, WindowStats, CONNECTION_TABLE_ROWS,
+    ConnectionInfo, Counters, DomainCounters, EngineStats, LatencyStats, OpCounts, OpLatency,
+    OpWindow, PhaseLatencyStats, ServerStats, WindowStats, CONNECTION_TABLE_ROWS,
 };

@@ -44,31 +44,29 @@
 //! `"error"`), e.g.:
 //!
 //! ```text
-//! {"op":"check","id":1,"verdict":"robust","source":"solver","stats":{…},"search":{…}}
-//! {"op":"check","verdict":"counterexample","source":"exact_hit",
-//!  "noise":[-12,4],"predicted":1,"expected":0,
-//!  "noisy_input":["88/1","…"],"outputs":["…"],"stats":{…},"search":{…}}
-//! {"op":"tolerance","radius":12}            // null ⇔ robust through ±max_delta
+//! {"op":"check","id":1,"verdict":"robust","source":"solver","stats":{…}}
+//! {"op":"check","verdict":"counterexample","noise":[-12,4],"predicted":1,
+//!  "expected":0,"noisy_input":["88/1","…"],"outputs":["…"],"source":"exact_hit","stats":{…}}
+//! {"op":"tolerance","radius":12,"max_delta":50}   // null ⇔ robust through ±max_delta
+//! {"op":"fault_check","verdict":"robust","source":"solver","stats":{…}}
 //! {"op":"joint_check","verdict":"vulnerable","noise":[-3,3],"fault":"…","source":"solver","stats":{…}}
 //! {"op":"sensitivity","count":4,"exhausted":true,"nodes":[{"node":0,…}]}
-//! {"op":"stats","fingerprint":"…","exact_hits":…,"cache_len":…,"solver":{…},"server":{…}}
+//! {"op":"stats","fingerprint":"…","exact_hits":…,"cache_len":…,"solver_search":{…},"server":{…}}
 //! {"op":"shutdown","ok":true}
 //! {"op":"error","id":7,"message":"label 3 out of range for 2 outputs"}
 //! ```
 //!
+//! Every counter block on the wire is one `SearchStats` object with the
+//! same fifteen keys: the per-answer `stats` of `check`, `fault_check`
+//! and `joint_check`, and the cumulative `solver_search`,
+//! `fault_solver_search` and `joint_solver` blocks of `stats`.
+//!
 //! When a serving front end answers a `stats` request it adds a
 //! `server` object (uptime, qps, queue gauges, per-op dispatch counts —
-//! [`crate::stats::ServerStats`]) after the legacy keys; a bare
+//! [`crate::stats::ServerStats`]) after the engine's keys; a bare
 //! [`handle`] call leaves it out. `shutdown` asks the front end to
 //! drain and exit: in-flight requests finish and their responses are
 //! delivered, then the session closes (DESIGN.md §13).
-//!
-//! Since the `fannet-search` extraction, solver counters ride in **two**
-//! forms: the historical per-domain shape under the legacy keys
-//! (`stats`, `solver`, `fault_solver` — byte-compatible with pre-unification
-//! clients) and the unified [`FaultStats`]/`SearchStats` block under
-//! `search` (respectively `solver_search`/`fault_solver_search`; the
-//! new joint ops carry only the unified form).
 //!
 //! The wire impls are written by hand against the serde shim's `Value`
 //! data model: the derive shim has no field attributes, and a protocol
@@ -77,19 +75,18 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fannet_faults::{
-    FaultModel, FaultOutcome, FaultStats, FaultTolerance, JointOutcome, JointTolerance,
-    ToleranceSearch,
+    FaultModel, FaultOutcome, FaultTolerance, JointOutcome, JointTolerance, ToleranceSearch,
 };
 use fannet_numeric::Rational;
-use fannet_search::TierTimer;
-use fannet_verify::bab::{BabStats, RegionOutcome};
+use fannet_search::{SearchStats, TierTimer};
+use fannet_verify::bab::RegionOutcome;
 use fannet_verify::exact::Counterexample;
 use fannet_verify::region::NoiseRegion;
 use serde::de::{take_entry, DeserializeOwned};
 use serde::{Deserialize, Serialize, Serializer, Value};
 
-use crate::engine::{AnswerSource, Engine};
-use crate::stats::EngineStats;
+use crate::engine::{Answer, AnswerSource, Engine, Query, QueryKind};
+use crate::stats::Counters;
 
 /// Default `max_delta` of a `tolerance` request.
 pub const DEFAULT_MAX_DELTA: i64 = 50;
@@ -99,100 +96,15 @@ pub const DEFAULT_CAP: usize = 100;
 /// One decoded request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Witness-exact P2 check over a region.
-    Check {
+    /// One engine query: any of the seven query ops (DESIGN.md §8).
+    Query {
         /// Client tag echoed in the response.
         id: Option<u64>,
-        /// Exact input vector.
-        input: Vec<Rational>,
-        /// Expected label `Sx`.
-        label: usize,
-        /// Region to certify.
-        region: NoiseRegion,
+        /// The question, answered by [`Engine::answer`].
+        query: Query,
         /// `true` to attach a per-query cost trace to the response
-        /// (DESIGN.md §14). Never changes the verdict or witness.
-        trace: bool,
-    },
-    /// Exact robustness radius by incremental binary search.
-    Tolerance {
-        /// Client tag echoed in the response.
-        id: Option<u64>,
-        /// Exact input vector.
-        input: Vec<Rational>,
-        /// Expected label `Sx`.
-        label: usize,
-        /// Largest radius probed.
-        max_delta: i64,
-        /// `true` to attach a per-query cost trace to the response.
-        trace: bool,
-    },
-    /// Per-node noise-sign statistics over extracted counterexamples.
-    Sensitivity {
-        /// Client tag echoed in the response.
-        id: Option<u64>,
-        /// Exact input vector.
-        input: Vec<Rational>,
-        /// Expected label `Sx`.
-        label: usize,
-        /// Region to extract from.
-        region: NoiseRegion,
-        /// Maximum counterexamples to extract.
-        cap: usize,
-    },
-    /// Weight-fault robustness check (DESIGN.md §11).
-    FaultCheck {
-        /// Client tag echoed in the response.
-        id: Option<u64>,
-        /// Exact input vector.
-        input: Vec<Rational>,
-        /// Expected label `Sx`.
-        label: usize,
-        /// The fault model to verify against.
-        model: FaultModel,
-        /// `true` to attach a per-query cost trace to the response.
-        trace: bool,
-    },
-    /// Weight-noise fault-tolerance bisection.
-    FaultTolerance {
-        /// Client tag echoed in the response.
-        id: Option<u64>,
-        /// Exact input vector.
-        input: Vec<Rational>,
-        /// Expected label `Sx`.
-        label: usize,
-        /// The ε grid searched.
-        search: ToleranceSearch,
-        /// `true` to attach a per-query cost trace to the response.
-        trace: bool,
-    },
-    /// Joint input-noise × weight-fault robustness check (DESIGN.md §12).
-    JointCheck {
-        /// Client tag echoed in the response.
-        id: Option<u64>,
-        /// Exact input vector.
-        input: Vec<Rational>,
-        /// Expected label `Sx`.
-        label: usize,
-        /// The input-noise factor of the product claim.
-        region: NoiseRegion,
-        /// The weight-fault factor of the product claim.
-        model: FaultModel,
-        /// `true` to attach a per-query cost trace to the response.
-        trace: bool,
-    },
-    /// Joint weight-noise tolerance at a fixed input-noise radius.
-    JointTolerance {
-        /// Client tag echoed in the response.
-        id: Option<u64>,
-        /// Exact input vector.
-        input: Vec<Rational>,
-        /// Expected label `Sx`.
-        label: usize,
-        /// Symmetric input-noise radius (±δ%).
-        delta: i64,
-        /// The ε grid searched.
-        search: ToleranceSearch,
-        /// `true` to attach a per-query cost trace to the response.
+        /// (DESIGN.md §14). Never changes the verdict or witness;
+        /// `sensitivity` responses carry no trace.
         trace: bool,
     },
     /// Engine/cache/solver counters.
@@ -406,7 +318,7 @@ impl Serialize for RequestTimeline {
 // an indirection.
 #[allow(clippy::large_enum_variant)]
 pub enum Response {
-    /// Answer to [`Request::Check`].
+    /// Answer to a [`QueryKind::Check`] query.
     Check {
         /// Echo of the request tag.
         id: Option<u64>,
@@ -415,11 +327,11 @@ pub enum Response {
         /// Cache path that produced it.
         source: AnswerSource,
         /// Solver counters of this answer (zero on cache hits).
-        stats: BabStats,
+        stats: SearchStats,
         /// Cost attribution, present iff the request set `"trace"`.
         trace: Option<QueryTrace>,
     },
-    /// Answer to [`Request::Tolerance`].
+    /// Answer to a [`QueryKind::Tolerance`] query.
     Tolerance {
         /// Echo of the request tag.
         id: Option<u64>,
@@ -430,7 +342,7 @@ pub enum Response {
         /// Cost attribution, present iff the request set `"trace"`.
         trace: Option<QueryTrace>,
     },
-    /// Answer to [`Request::FaultCheck`].
+    /// Answer to a [`QueryKind::FaultCheck`] query.
     FaultCheck {
         /// Echo of the request tag.
         id: Option<u64>,
@@ -439,11 +351,11 @@ pub enum Response {
         /// Cache path that produced it.
         source: AnswerSource,
         /// Fault-checker counters of this answer (zero on cache hits).
-        stats: FaultStats,
+        stats: SearchStats,
         /// Cost attribution, present iff the request set `"trace"`.
         trace: Option<QueryTrace>,
     },
-    /// Answer to [`Request::FaultTolerance`].
+    /// Answer to a [`QueryKind::FaultTolerance`] query.
     FaultTolerance {
         /// Echo of the request tag.
         id: Option<u64>,
@@ -454,7 +366,7 @@ pub enum Response {
         /// Cost attribution, present iff the request set `"trace"`.
         trace: Option<QueryTrace>,
     },
-    /// Answer to [`Request::JointCheck`].
+    /// Answer to a [`QueryKind::JointCheck`] query.
     JointCheck {
         /// Echo of the request tag.
         id: Option<u64>,
@@ -463,11 +375,11 @@ pub enum Response {
         /// Cache path that produced it.
         source: AnswerSource,
         /// Joint-checker counters of this answer (zero on cache hits).
-        stats: FaultStats,
+        stats: SearchStats,
         /// Cost attribution, present iff the request set `"trace"`.
         trace: Option<QueryTrace>,
     },
-    /// Answer to [`Request::JointTolerance`].
+    /// Answer to a [`QueryKind::JointTolerance`] query.
     JointTolerance {
         /// Echo of the request tag.
         id: Option<u64>,
@@ -480,7 +392,7 @@ pub enum Response {
         /// Cost attribution, present iff the request set `"trace"`.
         trace: Option<QueryTrace>,
     },
-    /// Answer to [`Request::Sensitivity`].
+    /// Answer to a [`QueryKind::Sensitivity`] query.
     Sensitivity {
         /// Echo of the request tag.
         id: Option<u64>,
@@ -497,24 +409,8 @@ pub enum Response {
         id: Option<u64>,
         /// The served network's content fingerprint (cache namespace).
         fingerprint: String,
-        /// Cache counters.
-        engine: EngineStats,
-        /// Verdicts currently cached.
-        cache_len: usize,
-        /// Cumulative solver counters.
-        solver: BabStats,
-        /// Fault-cache counters.
-        fault_cache: crate::cache::FaultCacheStats,
-        /// Fault verdicts currently cached.
-        fault_cache_len: usize,
-        /// Cumulative fault-checker counters.
-        fault_solver: FaultStats,
-        /// Joint-cache counters.
-        joint_cache: crate::cache::ExactCacheStats,
-        /// Joint verdicts currently cached.
-        joint_cache_len: usize,
-        /// Cumulative joint-checker counters.
-        joint_solver: FaultStats,
+        /// Cache and cumulative solver counters of every domain.
+        counters: Counters,
         /// Front-end metrics (uptime, qps, queue depth, per-op counts),
         /// filled by the serving session that owns the sockets; `None`
         /// when the request was answered outside a serving front end
@@ -689,112 +585,66 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let id: Option<u64> = take_parsed(&mut m, "id")?;
     let trace: bool = take_parsed(&mut m, "trace")?.unwrap_or(false);
     match op.as_str() {
-        "check" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let region = take_region(&mut m, input.len())?;
-            Ok(Request::Check {
-                id,
-                input,
-                label,
-                region,
-                trace,
-            })
+        "stats" => return Ok(Request::Stats { id }),
+        "metrics" => return Ok(Request::Metrics { id }),
+        "shutdown" => return Ok(Request::Shutdown { id }),
+        "check" | "tolerance" | "sensitivity" | "fault_check" | "fault_tolerance"
+        | "joint_check" | "joint_tolerance" => {}
+        other => {
+            return Err(format!(
+                "unknown op `{other}` (expected check/tolerance/sensitivity/fault_check/\
+                 fault_tolerance/joint_check/joint_tolerance/stats/metrics/shutdown)"
+            ))
         }
+    }
+    let input = take_input(&mut m)?;
+    let label = take_required(&mut m, "label")?;
+    let nodes = input.len();
+    let kind = match op.as_str() {
+        "check" => QueryKind::Check {
+            region: take_region(&mut m, nodes)?,
+        },
         "tolerance" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
             let max_delta = take_parsed(&mut m, "max_delta")?.unwrap_or(DEFAULT_MAX_DELTA);
             if !(1..=100).contains(&max_delta) {
                 return Err(format!("max_delta {max_delta} outside [1, 100]"));
             }
-            Ok(Request::Tolerance {
-                id,
-                input,
-                label,
-                max_delta,
-                trace,
-            })
+            QueryKind::Tolerance { max_delta }
         }
         "sensitivity" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let region = take_region(&mut m, input.len())?;
+            let region = take_region(&mut m, nodes)?;
             let cap = take_parsed(&mut m, "cap")?.unwrap_or(DEFAULT_CAP);
             if cap == 0 {
                 return Err("cap must be positive".to_string());
             }
-            Ok(Request::Sensitivity {
-                id,
-                input,
-                label,
-                region,
-                cap,
-            })
+            QueryKind::Sensitivity { region, cap }
         }
-        "fault_check" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let model = take_fault_model(&mut m)?;
-            Ok(Request::FaultCheck {
-                id,
-                input,
-                label,
-                model,
-                trace,
-            })
-        }
-        "fault_tolerance" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let search = take_tolerance_grid(&mut m)?;
-            Ok(Request::FaultTolerance {
-                id,
-                input,
-                label,
-                search,
-                trace,
-            })
-        }
+        "fault_check" => QueryKind::FaultCheck {
+            model: take_fault_model(&mut m)?,
+        },
+        "fault_tolerance" => QueryKind::FaultTolerance {
+            search: take_tolerance_grid(&mut m)?,
+        },
         "joint_check" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
-            let region = take_region(&mut m, input.len())?;
+            let region = take_region(&mut m, nodes)?;
             let model = take_fault_model(&mut m)?;
-            Ok(Request::JointCheck {
-                id,
-                input,
-                label,
-                region,
-                model,
-                trace,
-            })
+            QueryKind::JointCheck { region, model }
         }
         "joint_tolerance" => {
-            let input = take_input(&mut m)?;
-            let label = take_required(&mut m, "label")?;
             let delta: i64 = take_parsed(&mut m, "delta")?.unwrap_or(0);
             if !(0..=100).contains(&delta) {
                 return Err(format!("delta {delta} outside the model's [0, 100] range"));
             }
             let search = take_tolerance_grid(&mut m)?;
-            Ok(Request::JointTolerance {
-                id,
-                input,
-                label,
-                delta,
-                search,
-                trace,
-            })
+            QueryKind::JointTolerance { delta, search }
         }
-        "stats" => Ok(Request::Stats { id }),
-        "metrics" => Ok(Request::Metrics { id }),
-        "shutdown" => Ok(Request::Shutdown { id }),
-        other => Err(format!(
-            "unknown op `{other}` (expected check/tolerance/sensitivity/fault_check/\
-             fault_tolerance/joint_check/joint_tolerance/stats/metrics/shutdown)"
-        )),
-    }
+        _ => unreachable!("query ops are matched above"),
+    };
+    Ok(Request::Query {
+        id,
+        query: Query { input, label, kind },
+        trace,
+    })
 }
 
 /// Adapter: the serde_json shim exposes typed `from_str` only, so parse
@@ -818,56 +668,6 @@ impl ValueDocument {
 // ---------------------------------------------------------------------------
 // Response encoding
 // ---------------------------------------------------------------------------
-
-/// The pre-refactor `BabStats` field set, serialized under the legacy
-/// keys — the `stats`/`solver` objects of `check`/`stats` responses
-/// keep their historical shape (satellite of the `fannet-search`
-/// extraction: clients parsing the old keys keep working), while the
-/// full unified block rides alongside under `search`.
-struct LegacyCheckStats<'a>(&'a BabStats);
-
-impl Serialize for LegacyCheckStats<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let s = self.0;
-        let mut st = serializer.serialize_struct("BabStats", 11)?;
-        st.serialize_field("boxes_visited", &s.boxes_visited)?;
-        st.serialize_field("pruned_correct", &s.pruned_correct)?;
-        st.serialize_field("proved_wrong", &s.proved_wrong)?;
-        st.serialize_field("exact_evals", &s.exact_evals)?;
-        st.serialize_field("splits", &s.splits)?;
-        st.serialize_field("screen_hits", &s.screen_hits)?;
-        st.serialize_field("screen_fallbacks", &s.screen_fallbacks)?;
-        st.serialize_field("interval_hits", &s.interval_hits)?;
-        st.serialize_field("interval_fallbacks", &s.interval_fallbacks)?;
-        st.serialize_field("zonotope_hits", &s.zonotope_hits)?;
-        st.serialize_field("zonotope_fallbacks", &s.zonotope_fallbacks)?;
-        st.end()
-    }
-}
-
-/// The pre-refactor `FaultStats` field set under its legacy keys (see
-/// [`LegacyCheckStats`]).
-struct LegacyFaultStats<'a>(&'a FaultStats);
-
-impl Serialize for LegacyFaultStats<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let s = self.0;
-        let mut st = serializer.serialize_struct("FaultStats", 10)?;
-        st.serialize_field("boxes_visited", &s.boxes_visited)?;
-        st.serialize_field("splits", &s.splits)?;
-        st.serialize_field("interval_hits", &s.interval_hits)?;
-        st.serialize_field("interval_fallbacks", &s.interval_fallbacks)?;
-        st.serialize_field("zonotope_hits", &s.zonotope_hits)?;
-        st.serialize_field("zonotope_fallbacks", &s.zonotope_fallbacks)?;
-        st.serialize_field("exact_decisions", &s.exact_decisions)?;
-        st.serialize_field("exact_fallbacks", &s.exact_fallbacks)?;
-        st.serialize_field("concrete_evals", &s.concrete_evals)?;
-        st.serialize_field("budget_exhausted", &s.budget_exhausted)?;
-        st.end()
-    }
-}
 
 impl Serialize for Response {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
@@ -897,8 +697,7 @@ impl Serialize for Response {
                     }
                 }
                 st.serialize_field("source", source.wire_name())?;
-                st.serialize_field("stats", &LegacyCheckStats(stats))?;
-                st.serialize_field("search", stats)?;
+                st.serialize_field("stats", stats)?;
                 if let Some(trace) = trace {
                     st.serialize_field("trace", trace)?;
                 }
@@ -938,8 +737,7 @@ impl Serialize for Response {
                     st.serialize_field("outputs", &witness.outputs)?;
                 }
                 st.serialize_field("source", source.wire_name())?;
-                st.serialize_field("stats", &LegacyFaultStats(stats))?;
-                st.serialize_field("search", stats)?;
+                st.serialize_field("stats", stats)?;
                 if let Some(trace) = trace {
                     st.serialize_field("trace", trace)?;
                 }
@@ -983,7 +781,6 @@ impl Serialize for Response {
                     st.serialize_field("outputs", &witness.outputs)?;
                 }
                 st.serialize_field("source", source.wire_name())?;
-                // A new op carries the unified stats block only.
                 st.serialize_field("stats", stats)?;
                 if let Some(trace) = trace {
                     st.serialize_field("trace", trace)?;
@@ -1027,15 +824,12 @@ impl Serialize for Response {
             Response::Stats {
                 id,
                 fingerprint,
-                engine,
-                cache_len,
-                solver,
-                fault_cache,
-                fault_cache_len,
-                fault_solver,
-                joint_cache,
-                joint_cache_len,
-                joint_solver,
+                counters:
+                    Counters {
+                        region,
+                        fault,
+                        joint,
+                    },
                 server,
             } => {
                 st.serialize_field("op", "stats")?;
@@ -1043,24 +837,22 @@ impl Serialize for Response {
                     st.serialize_field("id", id)?;
                 }
                 st.serialize_field("fingerprint", fingerprint)?;
-                st.serialize_field("exact_hits", &engine.exact_hits)?;
-                st.serialize_field("subsumption_hits", &engine.subsumption_hits)?;
-                st.serialize_field("misses", &engine.misses)?;
-                st.serialize_field("evictions", &engine.evictions)?;
-                st.serialize_field("cache_len", cache_len)?;
-                st.serialize_field("solver", &LegacyCheckStats(solver))?;
-                st.serialize_field("solver_search", solver)?;
-                st.serialize_field("fault_hits", &fault_cache.hits)?;
-                st.serialize_field("fault_misses", &fault_cache.misses)?;
-                st.serialize_field("fault_evictions", &fault_cache.evictions)?;
-                st.serialize_field("fault_cache_len", fault_cache_len)?;
-                st.serialize_field("fault_solver", &LegacyFaultStats(fault_solver))?;
-                st.serialize_field("fault_solver_search", fault_solver)?;
-                st.serialize_field("joint_hits", &joint_cache.hits)?;
-                st.serialize_field("joint_misses", &joint_cache.misses)?;
-                st.serialize_field("joint_evictions", &joint_cache.evictions)?;
-                st.serialize_field("joint_cache_len", joint_cache_len)?;
-                st.serialize_field("joint_solver", joint_solver)?;
+                st.serialize_field("exact_hits", &region.cache.exact_hits)?;
+                st.serialize_field("subsumption_hits", &region.cache.subsumption_hits)?;
+                st.serialize_field("misses", &region.cache.misses)?;
+                st.serialize_field("evictions", &region.cache.evictions)?;
+                st.serialize_field("cache_len", &region.len)?;
+                st.serialize_field("solver_search", &region.solver)?;
+                st.serialize_field("fault_hits", &fault.cache.exact_hits)?;
+                st.serialize_field("fault_misses", &fault.cache.misses)?;
+                st.serialize_field("fault_evictions", &fault.cache.evictions)?;
+                st.serialize_field("fault_cache_len", &fault.len)?;
+                st.serialize_field("fault_solver_search", &fault.solver)?;
+                st.serialize_field("joint_hits", &joint.cache.exact_hits)?;
+                st.serialize_field("joint_misses", &joint.cache.misses)?;
+                st.serialize_field("joint_evictions", &joint.cache.evictions)?;
+                st.serialize_field("joint_cache_len", &joint.len)?;
+                st.serialize_field("joint_solver", &joint.solver)?;
                 if let Some(server) = server {
                     st.serialize_field("server", server)?;
                 }
@@ -1172,7 +964,7 @@ pub fn handle_traced(
         Err(panic) => (
             Response::Error {
                 id,
-                message: format!("query aborted: {}", panic_message(&panic)),
+                message: format!("query aborted: {}", panic_message(&*panic)),
             },
             None,
         ),
@@ -1183,13 +975,7 @@ pub fn handle_traced(
 #[must_use]
 pub fn request_id(request: &Request) -> Option<u64> {
     match request {
-        Request::Check { id, .. }
-        | Request::Tolerance { id, .. }
-        | Request::Sensitivity { id, .. }
-        | Request::FaultCheck { id, .. }
-        | Request::FaultTolerance { id, .. }
-        | Request::JointCheck { id, .. }
-        | Request::JointTolerance { id, .. }
+        Request::Query { id, .. }
         | Request::Stats { id }
         | Request::Metrics { id }
         | Request::Shutdown { id } => *id,
@@ -1200,13 +986,15 @@ pub fn request_id(request: &Request) -> Option<u64> {
 #[must_use]
 pub fn request_op(request: &Request) -> &'static str {
     match request {
-        Request::Check { .. } => "check",
-        Request::Tolerance { .. } => "tolerance",
-        Request::Sensitivity { .. } => "sensitivity",
-        Request::FaultCheck { .. } => "fault_check",
-        Request::FaultTolerance { .. } => "fault_tolerance",
-        Request::JointCheck { .. } => "joint_check",
-        Request::JointTolerance { .. } => "joint_tolerance",
+        Request::Query { query, .. } => match query.kind {
+            QueryKind::Check { .. } => "check",
+            QueryKind::Tolerance { .. } => "tolerance",
+            QueryKind::Sensitivity { .. } => "sensitivity",
+            QueryKind::FaultCheck { .. } => "fault_check",
+            QueryKind::FaultTolerance { .. } => "fault_tolerance",
+            QueryKind::JointCheck { .. } => "joint_check",
+            QueryKind::JointTolerance { .. } => "joint_tolerance",
+        },
         Request::Stats { .. } => "stats",
         Request::Metrics { .. } => "metrics",
         Request::Shutdown { .. } => "shutdown",
@@ -1234,23 +1022,6 @@ pub fn response_trace_mut(response: &mut Response) -> Option<&mut QueryTrace> {
     }
 }
 
-/// Whether a request asked for an embedded trace object.
-#[must_use]
-pub fn request_trace(request: &Request) -> bool {
-    match request {
-        Request::Check { trace, .. }
-        | Request::Tolerance { trace, .. }
-        | Request::FaultCheck { trace, .. }
-        | Request::FaultTolerance { trace, .. }
-        | Request::JointCheck { trace, .. }
-        | Request::JointTolerance { trace, .. } => *trace,
-        Request::Sensitivity { .. }
-        | Request::Stats { .. }
-        | Request::Metrics { .. }
-        | Request::Shutdown { .. } => false,
-    }
-}
-
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
@@ -1261,233 +1032,19 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn validate_label(engine: &Engine, label: usize) -> Result<(), String> {
-    let outputs = engine.network().outputs();
-    if label >= outputs {
-        Err(format!("label {label} out of range for {outputs} outputs"))
-    } else {
-        Ok(())
-    }
-}
-
 fn dispatch(
     engine: &Engine,
     request: &Request,
     force_timing: bool,
 ) -> (Response, Option<QueryTrace>) {
     let id = request_id(request);
-    let error = |message: String| (Response::Error { id, message }, None);
-    let embed = request_trace(request);
-    let timed = embed || force_timing;
-    let timer = if timed {
-        TierTimer::enabled()
-    } else {
-        TierTimer::disabled()
-    };
-    let start = timed.then(std::time::Instant::now);
-    // Wall time measured around the engine call only — parse/serialize
-    // overhead is the front end's to attribute, not the query's.
-    let qt = |cache: AnswerSource, stats: fannet_search::SearchStats| {
-        start.map(|s| QueryTrace {
-            wall_ns: u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            cache,
-            stats,
-            queue_ns: None,
-        })
-    };
     match request {
-        Request::Check {
-            input,
-            label,
-            region,
-            ..
-        } => {
-            if let Err(m) = validate_label(engine, *label) {
-                return error(m);
-            }
-            match engine.check_traced(input, *label, region, timer) {
-                Ok(reply) => {
-                    let trace = qt(reply.source, reply.stats);
-                    (
-                        Response::Check {
-                            id,
-                            outcome: reply.outcome,
-                            source: reply.source,
-                            stats: reply.stats,
-                            trace: trace.filter(|_| embed),
-                        },
-                        trace,
-                    )
-                }
-                Err(e) => error(e.to_string()),
-            }
-        }
-        Request::Tolerance {
-            input,
-            label,
-            max_delta,
-            ..
-        } => {
-            if let Err(m) = validate_label(engine, *label) {
-                return error(m);
-            }
-            match engine.tolerance_traced(input, *label, *max_delta, timer) {
-                Ok((radius, stats, source)) => {
-                    let trace = qt(source, stats);
-                    (
-                        Response::Tolerance {
-                            id,
-                            radius,
-                            max_delta: *max_delta,
-                            trace: trace.filter(|_| embed),
-                        },
-                        trace,
-                    )
-                }
-                Err(e) => error(e.to_string()),
-            }
-        }
-        Request::Sensitivity {
-            input,
-            label,
-            region,
-            cap,
-            ..
-        } => {
-            if let Err(m) = validate_label(engine, *label) {
-                return error(m);
-            }
-            match engine.collect(input, *label, region, *cap) {
-                Ok((ces, exhausted, _)) => (
-                    Response::Sensitivity {
-                        id,
-                        count: ces.len(),
-                        exhausted,
-                        nodes: node_signs(input.len(), &ces),
-                    },
-                    None,
-                ),
-                Err(e) => error(e.to_string()),
-            }
-        }
-        Request::FaultCheck {
-            input,
-            label,
-            model,
-            ..
-        } => {
-            if let Err(m) = validate_label(engine, *label) {
-                return error(m);
-            }
-            match engine.fault_check_traced(input, *label, model, timer) {
-                Ok(reply) => {
-                    let trace = qt(reply.source, reply.stats);
-                    (
-                        Response::FaultCheck {
-                            id,
-                            outcome: reply.outcome,
-                            source: reply.source,
-                            stats: reply.stats,
-                            trace: trace.filter(|_| embed),
-                        },
-                        trace,
-                    )
-                }
-                Err(e) => error(e),
-            }
-        }
-        Request::FaultTolerance {
-            input,
-            label,
-            search,
-            ..
-        } => {
-            if let Err(m) = validate_label(engine, *label) {
-                return error(m);
-            }
-            match engine.fault_tolerance_traced(input, *label, search, timer) {
-                Ok((tolerance, stats, source)) => {
-                    let trace = qt(source, stats);
-                    (
-                        Response::FaultTolerance {
-                            id,
-                            tolerance,
-                            search: *search,
-                            trace: trace.filter(|_| embed),
-                        },
-                        trace,
-                    )
-                }
-                Err(e) => error(e),
-            }
-        }
-        Request::JointCheck {
-            input,
-            label,
-            region,
-            model,
-            ..
-        } => {
-            if let Err(m) = validate_label(engine, *label) {
-                return error(m);
-            }
-            match engine.joint_check_traced(input, *label, region, model, timer) {
-                Ok(reply) => {
-                    let trace = qt(reply.source, reply.stats);
-                    (
-                        Response::JointCheck {
-                            id,
-                            outcome: reply.outcome,
-                            source: reply.source,
-                            stats: reply.stats,
-                            trace: trace.filter(|_| embed),
-                        },
-                        trace,
-                    )
-                }
-                Err(e) => error(e),
-            }
-        }
-        Request::JointTolerance {
-            input,
-            label,
-            delta,
-            search,
-            ..
-        } => {
-            if let Err(m) = validate_label(engine, *label) {
-                return error(m);
-            }
-            match engine.joint_tolerance_traced(input, *label, *delta, search, timer) {
-                Ok((tolerance, stats, source)) => {
-                    let trace = qt(source, stats);
-                    (
-                        Response::JointTolerance {
-                            id,
-                            tolerance,
-                            delta: *delta,
-                            search: *search,
-                            trace: trace.filter(|_| embed),
-                        },
-                        trace,
-                    )
-                }
-                Err(e) => error(e),
-            }
-        }
+        Request::Query { query, trace, .. } => respond(engine, id, query, *trace, force_timing),
         Request::Stats { .. } => (
             Response::Stats {
                 id,
                 fingerprint: engine.fingerprint().to_hex(),
-                engine: engine.stats(),
-                cache_len: engine.cache_len(),
-                solver: engine.solver_stats(),
-                fault_cache: engine.fault_cache_stats(),
-                fault_cache_len: engine.fault_cache_len(),
-                fault_solver: engine.fault_solver_stats(),
-                joint_cache: engine.joint_cache_stats(),
-                joint_cache_len: engine.joint_cache_len(),
-                joint_solver: engine.joint_solver_stats(),
+                counters: engine.counters(),
                 server: None,
             },
             None,
@@ -1516,6 +1073,99 @@ fn dispatch(
     }
 }
 
+/// One engine call and its response. Timing runs when the client asked
+/// (`embed`) or the front end forces it; wall time is measured around
+/// the engine call only — parse/serialize overhead is the front end's to
+/// attribute, not the query's.
+fn respond(
+    engine: &Engine,
+    id: Option<u64>,
+    query: &Query,
+    embed: bool,
+    force_timing: bool,
+) -> (Response, Option<QueryTrace>) {
+    let timed = embed || force_timing;
+    let timer = if timed {
+        TierTimer::enabled()
+    } else {
+        TierTimer::disabled()
+    };
+    let start = timed.then(std::time::Instant::now);
+    let reply = match engine.answer(query, timer) {
+        Ok(reply) => reply,
+        Err(e) => {
+            let message = e.to_string();
+            return (Response::Error { id, message }, None);
+        }
+    };
+    let measured = start.map(|s| QueryTrace {
+        wall_ns: u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        cache: reply.source,
+        stats: reply.stats,
+        queue_ns: None,
+    });
+    let trace = measured.filter(|_| embed);
+    let (source, stats) = (reply.source, reply.stats);
+    let response = match (reply.answer, &query.kind) {
+        (Answer::Region(outcome), _) => Response::Check {
+            id,
+            outcome,
+            source,
+            stats,
+            trace,
+        },
+        (Answer::Radius(radius), &QueryKind::Tolerance { max_delta }) => Response::Tolerance {
+            id,
+            radius,
+            max_delta,
+            trace,
+        },
+        // Extractions carry no trace, measured or embedded.
+        (Answer::Counterexamples { found, exhausted }, _) => {
+            let response = Response::Sensitivity {
+                id,
+                count: found.len(),
+                exhausted,
+                nodes: node_signs(query.input.len(), &found),
+            };
+            return (response, None);
+        }
+        (Answer::Fault(outcome), _) => Response::FaultCheck {
+            id,
+            outcome,
+            source,
+            stats,
+            trace,
+        },
+        (Answer::FaultTolerance(tolerance), &QueryKind::FaultTolerance { search }) => {
+            Response::FaultTolerance {
+                id,
+                tolerance,
+                search,
+                trace,
+            }
+        }
+        (Answer::Joint(outcome), _) => Response::JointCheck {
+            id,
+            outcome,
+            source,
+            stats,
+            trace,
+        },
+        (Answer::JointTolerance(tolerance), &QueryKind::JointTolerance { delta, search }) => {
+            Response::JointTolerance {
+                id,
+                tolerance,
+                delta,
+                search,
+                trace,
+            }
+        }
+        (answer, kind) => unreachable!("{kind:?} answered with {answer:?}"),
+    };
+    (response, measured)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1541,6 +1191,22 @@ mod tests {
         Engine::new(net, EngineConfig::serving())
     }
 
+    /// An untraced query request.
+    fn query(id: Option<u64>, input: Vec<Rational>, label: usize, kind: QueryKind) -> Request {
+        Request::Query {
+            id,
+            query: Query { input, label, kind },
+            trace: false,
+        }
+    }
+
+    fn kind_of(request: Request) -> QueryKind {
+        match request {
+            Request::Query { query, .. } => query.kind,
+            other => panic!("not a query: {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_every_op() {
         let req =
@@ -1548,43 +1214,55 @@ mod tests {
                 .unwrap();
         assert_eq!(
             req,
-            Request::Check {
-                id: Some(7),
-                input: vec![r(100), r(82)],
-                label: 0,
-                region: NoiseRegion::symmetric(5, 2),
-                trace: false,
-            }
+            query(
+                Some(7),
+                vec![r(100), r(82)],
+                0,
+                QueryKind::Check {
+                    region: NoiseRegion::symmetric(5, 2)
+                }
+            )
         );
         let req =
             parse_request(r#"{"op":"check","input":[100,82],"label":0,"region":[[-5,5],[0,3]]}"#)
                 .unwrap();
         assert_eq!(
             req,
-            Request::Check {
-                id: None,
-                input: vec![r(100), r(82)],
-                label: 0,
-                region: NoiseRegion::new(vec![(-5, 5), (0, 3)]),
-                trace: false,
-            }
+            query(
+                None,
+                vec![r(100), r(82)],
+                0,
+                QueryKind::Check {
+                    region: NoiseRegion::new(vec![(-5, 5), (0, 3)])
+                }
+            )
         );
         let req = parse_request(r#"{"op":"tolerance","input":["3/4","-1.25"],"label":1}"#).unwrap();
         assert_eq!(
             req,
-            Request::Tolerance {
-                id: None,
-                input: vec![Rational::new(3, 4), Rational::new(-5, 4)],
-                label: 1,
-                max_delta: DEFAULT_MAX_DELTA,
-                trace: false,
-            }
+            query(
+                None,
+                vec![Rational::new(3, 4), Rational::new(-5, 4)],
+                1,
+                QueryKind::Tolerance {
+                    max_delta: DEFAULT_MAX_DELTA
+                }
+            )
         );
         let req = parse_request(
             r#"{"op":"sensitivity","input":["100","99"],"label":0,"delta":3,"cap":10}"#,
         )
         .unwrap();
-        assert!(matches!(req, Request::Sensitivity { cap: 10, .. }));
+        assert!(matches!(
+            req,
+            Request::Query {
+                query: Query {
+                    kind: QueryKind::Sensitivity { cap: 10, .. },
+                    ..
+                },
+                ..
+            }
+        ));
         assert_eq!(
             parse_request(r#"{"op":"stats"}"#).unwrap(),
             Request::Stats { id: None }
@@ -1599,23 +1277,24 @@ mod tests {
         .unwrap();
         assert_eq!(
             req,
-            Request::FaultCheck {
-                id: Some(2),
-                input: vec![r(100), r(82)],
-                label: 0,
-                model: FaultModel::WeightNoise {
-                    rel_eps: Rational::new(1, 50),
-                },
-                trace: false,
-            }
+            query(
+                Some(2),
+                vec![r(100), r(82)],
+                0,
+                QueryKind::FaultCheck {
+                    model: FaultModel::WeightNoise {
+                        rel_eps: Rational::new(1, 50),
+                    },
+                }
+            )
         );
         let req = parse_request(
             r#"{"op":"fault_check","input":[1,2],"label":0,"model":"stuck-at","layer":0,"neuron":1,"value":"-3/2"}"#,
         )
         .unwrap();
         assert!(matches!(
-            req,
-            Request::FaultCheck {
+            kind_of(req),
+            QueryKind::FaultCheck {
                 model: FaultModel::StuckAt {
                     layer: 0,
                     neuron: 1,
@@ -1629,8 +1308,8 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            req,
-            Request::FaultCheck {
+            kind_of(req),
+            QueryKind::FaultCheck {
                 model: FaultModel::BitFlips { budget: 2 },
                 ..
             }
@@ -1640,8 +1319,8 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            req,
-            Request::FaultCheck {
+            kind_of(req),
+            QueryKind::FaultCheck {
                 model: FaultModel::Quantization { denom_bits: 8 },
                 ..
             }
@@ -1651,21 +1330,22 @@ mod tests {
             parse_request(r#"{"op":"fault_tolerance","input":["100","82"],"label":0}"#).unwrap();
         assert_eq!(
             req,
-            Request::FaultTolerance {
-                id: None,
-                input: vec![r(100), r(82)],
-                label: 0,
-                search: ToleranceSearch::new(1000, 200),
-                trace: false,
-            }
+            query(
+                None,
+                vec![r(100), r(82)],
+                0,
+                QueryKind::FaultTolerance {
+                    search: ToleranceSearch::new(1000, 200)
+                }
+            )
         );
         let req = parse_request(
             r#"{"op":"fault_tolerance","input":["100","82"],"label":0,"denom":100,"max_numer":25}"#,
         )
         .unwrap();
         assert!(matches!(
-            req,
-            Request::FaultTolerance {
+            kind_of(req),
+            QueryKind::FaultTolerance {
                 search: ToleranceSearch {
                     denom: 100,
                     max_numer: 25,
@@ -1683,16 +1363,17 @@ mod tests {
         .unwrap();
         assert_eq!(
             req,
-            Request::JointCheck {
-                id: Some(3),
-                input: vec![r(100), r(82)],
-                label: 0,
-                region: NoiseRegion::symmetric(3, 2),
-                model: FaultModel::WeightNoise {
-                    rel_eps: Rational::new(1, 50),
-                },
-                trace: false,
-            }
+            query(
+                Some(3),
+                vec![r(100), r(82)],
+                0,
+                QueryKind::JointCheck {
+                    region: NoiseRegion::symmetric(3, 2),
+                    model: FaultModel::WeightNoise {
+                        rel_eps: Rational::new(1, 50),
+                    },
+                }
+            )
         );
         // Explicit per-node region bounds work too.
         let req = parse_request(
@@ -1700,8 +1381,8 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            req,
-            Request::JointCheck {
+            kind_of(req),
+            QueryKind::JointCheck {
                 model: FaultModel::BitFlips { budget: 1 },
                 ..
             }
@@ -1711,22 +1392,23 @@ mod tests {
             parse_request(r#"{"op":"joint_tolerance","input":["100","82"],"label":0}"#).unwrap();
         assert_eq!(
             req,
-            Request::JointTolerance {
-                id: None,
-                input: vec![r(100), r(82)],
-                label: 0,
-                delta: 0,
-                search: ToleranceSearch::new(1000, 200),
-                trace: false,
-            }
+            query(
+                None,
+                vec![r(100), r(82)],
+                0,
+                QueryKind::JointTolerance {
+                    delta: 0,
+                    search: ToleranceSearch::new(1000, 200),
+                }
+            )
         );
         let req = parse_request(
             r#"{"op":"joint_tolerance","input":["100","82"],"label":0,"delta":5,"denom":100,"max_numer":25}"#,
         )
         .unwrap();
         assert!(matches!(
-            req,
-            Request::JointTolerance {
+            kind_of(req),
+            QueryKind::JointTolerance {
                 delta: 5,
                 search: ToleranceSearch {
                     denom: 100,
@@ -1794,42 +1476,112 @@ mod tests {
         assert!(matches!(handle(&e, &req), Response::Error { .. }));
     }
 
+    /// The top-level entries of a rendered response line.
+    fn entries(line: &str) -> Vec<(String, Value)> {
+        match ValueDocument::parse(line).unwrap() {
+            Value::Map(entries) => entries,
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
     #[test]
-    fn stats_objects_carry_legacy_and_unified_forms() {
+    fn every_counter_block_is_one_unified_stats_object() {
+        const WIRE_FIELDS: [&str; 15] = [
+            "boxes_visited",
+            "splits",
+            "pruned_correct",
+            "proved_wrong",
+            "exact_evals",
+            "screen_hits",
+            "screen_fallbacks",
+            "interval_hits",
+            "interval_fallbacks",
+            "zonotope_hits",
+            "zonotope_fallbacks",
+            "exact_decisions",
+            "exact_fallbacks",
+            "concrete_evals",
+            "budget_exhausted",
+        ];
         let e = engine();
-        let req =
-            parse_request(r#"{"op":"check","input":["100","82"],"label":0,"delta":5}"#).unwrap();
-        let line = render_response(&handle(&e, &req));
-        // Legacy shape: no budgeted-domain keys inside `stats`…
-        let stats_obj = line
-            .split(r#""stats":"#)
-            .nth(1)
-            .and_then(|s| s.split('}').next())
-            .expect("stats object present");
-        assert!(!stats_obj.contains("concrete_evals"), "{line}");
-        // …while the unified `search` block has every counter.
-        assert!(line.contains(r#""search":{"#), "{line}");
-        assert!(line.contains(r#""concrete_evals":0"#), "{line}");
-        let req = parse_request(
+        let requests = [
+            r#"{"op":"check","input":["100","82"],"label":0,"delta":15}"#,
+            r#"{"op":"tolerance","input":["100","82"],"label":0,"max_delta":30}"#,
+            r#"{"op":"sensitivity","input":["100","99"],"label":0,"delta":3}"#,
             r#"{"op":"fault_check","input":["100","82"],"label":0,"model":"weight-noise","eps":"1/50"}"#,
-        )
-        .unwrap();
-        let line = render_response(&handle(&e, &req));
-        let stats_obj = line
-            .split(r#""stats":"#)
-            .nth(1)
-            .and_then(|s| s.split('}').next())
-            .expect("stats object present");
-        assert!(!stats_obj.contains("screen_hits"), "{line}");
-        assert!(stats_obj.contains("concrete_evals"), "{line}");
-        assert!(line.contains(r#""search":{"#), "{line}");
-        // The cumulative stats op reports both plus the joint block.
+            r#"{"op":"fault_tolerance","input":["100","82"],"label":0,"denom":100,"max_numer":25}"#,
+            r#"{"op":"joint_check","input":["100","82"],"label":0,"delta":3,"model":"weight-noise","eps":"1/100"}"#,
+            r#"{"op":"joint_tolerance","input":["100","82"],"label":0,"delta":2,"denom":100,"max_numer":10}"#,
+            r#"{"op":"stats"}"#,
+        ];
+        for request in requests {
+            let response = handle(&e, &parse_request(request).unwrap());
+            let line = render_response(&response);
+            let entries = entries(&line);
+            let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+            assert!(!keys.contains(&"search"), "{line}");
+            let stats: Vec<&Value> = entries
+                .iter()
+                .filter(|(k, _)| k == "stats")
+                .map(|(_, v)| v)
+                .collect();
+            let answered = match &response {
+                Response::Check { stats, .. }
+                | Response::FaultCheck { stats, .. }
+                | Response::JointCheck { stats, .. } => Some(*stats),
+                _ => None,
+            };
+            let Some(answered) = answered else {
+                assert!(stats.is_empty(), "{line}");
+                continue;
+            };
+            // Exactly one `stats` object per check line, carrying the
+            // fifteen wire fields of the answer's counters.
+            assert_eq!(stats.len(), 1, "{line}");
+            let Value::Map(block) = stats[0] else {
+                panic!("`stats` is not an object: {line}");
+            };
+            let fields: Vec<&str> = block.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(fields, WIRE_FIELDS, "{line}");
+            let decoded: SearchStats = serde::de::from_value(stats[0].clone()).unwrap();
+            assert_eq!(
+                decoded,
+                SearchStats {
+                    depth_high_water: 0,
+                    ..answered
+                },
+                "{line}"
+            );
+        }
+        // The cumulative view: no `solver`/`fault_solver` blocks;
+        // the keys `perfbench` reads are all still there.
         let line = render_response(&handle(&e, &parse_request(r#"{"op":"stats"}"#).unwrap()));
-        assert!(line.contains(r#""solver":{"#), "{line}");
-        assert!(line.contains(r#""solver_search":{"#), "{line}");
-        assert!(line.contains(r#""fault_solver_search":{"#), "{line}");
-        assert!(line.contains(r#""joint_hits":0"#), "{line}");
-        assert!(line.contains(r#""joint_solver":{"#), "{line}");
+        let entries = entries(&line);
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert!(
+            !keys.contains(&"solver") && !keys.contains(&"fault_solver"),
+            "{line}"
+        );
+        for key in [
+            "exact_hits",
+            "subsumption_hits",
+            "misses",
+            "evictions",
+            "solver_search",
+            "fault_solver_search",
+            "joint_solver",
+        ] {
+            assert!(keys.contains(&key), "`{key}` missing: {line}");
+        }
+        let (_, solver) = entries.iter().find(|(k, _)| k == "solver_search").unwrap();
+        let solver: SearchStats = serde::de::from_value(solver.clone()).unwrap();
+        assert_eq!(
+            SearchStats {
+                depth_high_water: 0,
+                ..e.counters().region.solver
+            },
+            solver
+        );
     }
 
     #[test]
@@ -1991,7 +1743,7 @@ mod tests {
         // Same op with and without `"trace":true`, answered by fresh
         // engines under every screening tier: the traced line must be
         // the untraced line plus a trailing trace object — verdicts,
-        // witnesses and legacy stats byte-identical (DESIGN.md §14).
+        // witnesses and counters byte-identical (DESIGN.md §14).
         let requests = [
             r#"{"op":"check","id":1,"input":["100","82"],"label":0,"delta":5}"#,
             r#"{"op":"check","id":2,"input":["100","82"],"label":0,"delta":15}"#,
@@ -2030,7 +1782,10 @@ mod tests {
                 let untraced_line = render_response(&handle(&plain, &req));
                 let traced_req =
                     parse_request(&request.replace(r#"{"op""#, r#"{"trace":true,"op""#)).unwrap();
-                assert!(request_trace(&traced_req), "{tier}: {request}");
+                assert!(
+                    matches!(traced_req, Request::Query { trace: true, .. }),
+                    "{tier}: {request}"
+                );
                 let traced_line = render_response(&handle(&traced, &traced_req));
                 assert_eq!(
                     without_trace(&traced_line),
@@ -2175,26 +1930,15 @@ mod tests {
     fn bad_queries_become_error_responses_not_panics() {
         let e = engine();
         // Label out of range.
-        let req = Request::Check {
-            id: Some(9),
-            input: vec![r(1), r(2)],
-            label: 5,
-            region: NoiseRegion::symmetric(1, 2),
-            trace: false,
-        };
+        let region = NoiseRegion::symmetric(1, 2);
+        let req = query(Some(9), vec![r(1), r(2)], 5, QueryKind::Check { region });
         let resp = handle(&e, &req);
         assert!(
             matches!(&resp, Response::Error { id: Some(9), message } if message.contains("out of range")),
             "{resp:?}"
         );
         // Width mismatch.
-        let req = Request::Tolerance {
-            id: None,
-            input: vec![r(1)],
-            label: 0,
-            max_delta: 10,
-            trace: false,
-        };
+        let req = query(None, vec![r(1)], 0, QueryKind::Tolerance { max_delta: 10 });
         assert!(matches!(handle(&e, &req), Response::Error { .. }));
     }
 
@@ -2220,16 +1964,14 @@ mod tests {
                 cache_capacity: 16,
             },
         );
-        let req = Request::Check {
-            id: Some(3),
-            input: vec![r(1 << 20), r(1 << 20)],
-            label: 0,
-            region: NoiseRegion::symmetric(8, 2),
-            trace: false,
-        };
+        let region = NoiseRegion::symmetric(8, 2);
+        let input = vec![r(1 << 20), r(1 << 20)];
+        let req = query(Some(3), input, 0, QueryKind::Check { region });
         let resp = handle(&e, &req);
+        // The panic's own message survives containment.
         assert!(
-            matches!(&resp, Response::Error { id: Some(3), message } if message.contains("aborted")),
+            matches!(&resp, Response::Error { id: Some(3), message }
+                if message.starts_with("query aborted: ") && message.contains("overflow")),
             "{resp:?}"
         );
     }
@@ -2246,7 +1988,10 @@ mod tests {
         assert!(line.contains(r#""misses":1"#), "{line}");
         assert!(line.contains(r#""cache_len":1"#), "{line}");
         assert!(line.contains(r#""fingerprint":""#), "{line}");
-        assert!(line.contains(r#""solver":{"#), "{line}");
+        assert!(
+            line.contains(r#""solver_search":{"boxes_visited":"#),
+            "{line}"
+        );
     }
 
     #[test]
@@ -2257,7 +2002,7 @@ mod tests {
         let line = render_response(&handle(&e, &req));
         assert_eq!(line, r#"{"op":"shutdown","id":9,"ok":true}"#);
         // No engine state was consulted or mutated.
-        assert_eq!(e.stats().lookups(), 0);
+        assert_eq!(e.counters(), Counters::default());
         // Untagged spelling.
         let line = render_response(&handle(&e, &parse_request(r#"{"op":"shutdown"}"#).unwrap()));
         assert_eq!(line, r#"{"op":"shutdown","ok":true}"#);
@@ -2269,7 +2014,7 @@ mod tests {
         let line = render_response(&handle(&e, &parse_request(r#"{"op":"stats"}"#).unwrap()));
         assert!(!line.contains(r#""server":"#), "{line}");
         // A serving front end fills the slot; the key then serializes
-        // after every legacy key (see fannet-server).
+        // after every engine key (see fannet-server).
         let req = parse_request(r#"{"op":"stats"}"#).unwrap();
         let mut resp = handle(&e, &req);
         if let Response::Stats { server, .. } = &mut resp {

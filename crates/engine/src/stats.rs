@@ -1,20 +1,21 @@
 //! Cache-effectiveness counters (DESIGN.md §8).
 
+use fannet_search::SearchStats;
 use serde::{Deserialize, Serialize};
 
-/// How the engine's verdict cache answered lookups over its lifetime.
+/// How one of the engine's verdict caches answered lookups over its
+/// lifetime.
 ///
 /// Every lookup increments exactly one of `exact_hits`,
-/// `subsumption_hits` or `misses` (one lookup per
-/// [`crate::Engine::check`] / [`crate::Engine::check_verdict`] call, one
-/// per probe of [`crate::Engine::tolerance`]). A tolerance search's
-/// warm-start bracket additionally counts one subsumption hit per bound
-/// it narrows from a cached verdict — those are probes the search never
-/// has to issue.
+/// `subsumption_hits` or `misses`: one per check query, one per probe of
+/// a tolerance bisection. A radius search's warm-start bracket
+/// additionally counts one subsumption hit per bound it narrows from a
+/// cached verdict — those are probes the search never has to issue. The
+/// exact-key fault and joint caches never count a subsumption hit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Lookups answered by an entry with the *identical* region key —
-    /// verdict and witness reused verbatim.
+    /// Lookups answered by an entry with the *identical* key — verdict
+    /// and witness reused verbatim.
     pub exact_hits: u64,
     /// Lookups answered by the subsumption order: a `Robust(R)` entry with
     /// `query ⊆ R`, or (verdict-level lookups only) a `Counterexample(w)`
@@ -52,6 +53,31 @@ impl EngineStats {
         self.misses += other.misses;
         self.evictions += other.evictions;
     }
+}
+
+/// Lifetime counters of one cache domain (input-noise regions, weight
+/// faults or joint input×weight claims).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DomainCounters {
+    /// How the domain's cache answered lookups.
+    pub cache: EngineStats,
+    /// Verdicts the cache holds now.
+    pub len: usize,
+    /// The merge of every solver run's counters in this domain (P3
+    /// extractions included, in the region domain).
+    pub solver: SearchStats,
+}
+
+/// A snapshot of [`crate::Engine::counters`]: one block per domain.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// The input-noise region domain (`check`, `tolerance`,
+    /// `sensitivity`).
+    pub region: DomainCounters,
+    /// The weight-fault domain (`fault_check`, `fault_tolerance`).
+    pub fault: DomainCounters,
+    /// The joint input×weight domain (`joint_check`, `joint_tolerance`).
+    pub joint: DomainCounters,
 }
 
 /// Per-operation dispatch counts of a serving front end.
@@ -249,7 +275,7 @@ pub struct ConnectionInfo {
 
 /// The operator metrics surface of a serving front end (DESIGN.md §13),
 /// serialized under the `server` key of a `stats` response — alongside,
-/// never instead of, the legacy cache/solver counters.
+/// never instead of, the engine's cache/solver counters.
 ///
 /// `uptime_ms`, `qps`, `queue_depth` and `queue_high_water` are
 /// wall-clock- or scheduling-dependent, as are the `p50_ns`/`p90_ns`/

@@ -9,8 +9,9 @@
 //! containment answers verdict-level probes, and everything else misses
 //! into the solver.
 
-use fannet_engine::{Engine, EngineConfig};
+use fannet_engine::{Answer, AnswerSource, Engine, EngineConfig, Query, QueryKind};
 use fannet_numeric::Rational;
+use fannet_search::TierTimer;
 use fannet_verify::bab::{check_region, CheckerConfig};
 use fannet_verify::noise::ExclusionSet;
 use fannet_verify::region::NoiseRegion;
@@ -54,6 +55,46 @@ fn random_subregion(rng: &mut StdRng, outer: &NoiseRegion) -> NoiseRegion {
         })
         .collect();
     NoiseRegion::new(ranges)
+}
+
+/// A witness-bearing check through the engine: outcome and source.
+fn check(
+    engine: &Engine,
+    x: &[Rational],
+    label: usize,
+    region: &NoiseRegion,
+) -> (fannet_verify::bab::RegionOutcome, AnswerSource) {
+    let query = Query {
+        input: x.to_vec(),
+        label,
+        kind: QueryKind::Check {
+            region: region.clone(),
+        },
+    };
+    let reply = engine
+        .answer(&query, TierTimer::disabled())
+        .expect("widths");
+    match reply.answer {
+        Answer::Region(outcome) => (outcome, reply.source),
+        other => panic!("not a region answer: {other:?}"),
+    }
+}
+
+/// The engine's incremental radius search.
+fn radius(engine: &Engine, x: &[Rational], label: usize, max_delta: i64) -> Option<i64> {
+    let query = Query {
+        input: x.to_vec(),
+        label,
+        kind: QueryKind::Tolerance { max_delta },
+    };
+    match engine
+        .answer(&query, TierTimer::disabled())
+        .expect("widths")
+        .answer
+    {
+        Answer::Radius(radius) => radius,
+        other => panic!("not a radius: {other:?}"),
+    }
 }
 
 fn serving_engine(net: &fannet_nn::Network<Rational>) -> Engine {
@@ -106,23 +147,18 @@ proptest! {
                 _ => history[rng.gen_range(0..history.len())].clone(),
             };
 
-            let reply = engine.check(&x, label, &region).expect("widths");
+            let (outcome, source) = check(&engine, &x, label, &region);
             let (cold, _) =
                 check_region(&net, &x, label, &region, &ExclusionSet::new()).expect("widths");
             prop_assert_eq!(
-                &reply.outcome, &cold,
-                "witness-bearing answer differs from cold solver via {:?}", reply.source
+                &outcome, &cold,
+                "witness-bearing answer differs from cold solver via {:?}", source
             );
-
-            // The verdict-level path (counterexample containment allowed)
-            // must agree on robustness.
-            let (robust, _) = engine.check_verdict(&x, label, &region).expect("widths");
-            prop_assert_eq!(robust, cold.is_robust());
 
             history.push(region);
         }
-        // Accounting: one counted lookup per check/check_verdict call.
-        prop_assert_eq!(engine.stats().lookups(), 20);
+        // Accounting: one counted lookup per check.
+        prop_assert_eq!(engine.counters().region.cache.lookups(), 10);
     }
 
     /// The incremental tolerance search returns exactly the cold binary
@@ -154,10 +190,10 @@ proptest! {
         };
         let oracle = (1..=max_delta).find(|&d| has_ce(d));
 
-        prop_assert_eq!(engine.tolerance(&x, label, max_delta).expect("widths"), oracle);
+        prop_assert_eq!(radius(&engine, &x, label, max_delta), oracle);
         // Interleave check traffic, then re-search warm: same radius.
-        let _ = engine.check(&x, label, &NoiseRegion::symmetric(max_delta.min(3), 2));
-        prop_assert_eq!(engine.tolerance(&x, label, max_delta).expect("widths"), oracle);
+        let _ = check(&engine, &x, label, &NoiseRegion::symmetric(max_delta.min(3), 2));
+        prop_assert_eq!(radius(&engine, &x, label, max_delta), oracle);
     }
 }
 
@@ -186,11 +222,11 @@ fn nested_chain_exercises_every_cache_path() {
     let x = [r(100), r(82)];
     for delta in [9, 6, 3, 9, 1] {
         let region = NoiseRegion::symmetric(delta, 2);
-        let reply = engine.check(&x, 0, &region).expect("widths");
+        let (outcome, _) = check(&engine, &x, 0, &region);
         let (cold, _) = check_region(&net, &x, 0, &region, &ExclusionSet::new()).expect("widths");
-        assert_eq!(reply.outcome, cold, "±{delta}");
+        assert_eq!(outcome, cold, "±{delta}");
     }
-    let s = engine.stats();
+    let s = engine.counters().region.cache;
     assert_eq!(s.misses, 1, "only ±9 should reach the solver: {s:?}");
     assert_eq!(s.exact_hits, 1, "the ±9 repeat: {s:?}");
     assert_eq!(s.subsumption_hits, 3, "±6/±3/±1 nested under ±9: {s:?}");

@@ -8,8 +8,8 @@
 //! search has no budget, the budgeted fault search tracks exact-tier
 //! decisions instead of aggregate screen hits), but the meaning of each
 //! field is identical wherever it is incremented. The JSONL protocol
-//! serializes the block under the legacy per-domain keys *and* the
-//! unified form (see `fannet-engine`'s protocol module).
+//! serializes this one block wherever counters appear (see
+//! `fannet-engine`'s protocol module).
 //!
 //! ## Timing fields stay off the wire
 //!
@@ -18,7 +18,7 @@
 //! cached, replayed or golden-tested stats block must stay bit-identical
 //! whether a query was timed or not, and wall-clock numbers can never
 //! be. The `Serialize`/`Deserialize` impls below are hand-written to
-//! emit exactly the fifteen legacy counters; deserialization accepts
+//! emit exactly the fifteen counter fields; deserialization accepts
 //! the same fifteen and zeroes the rest. Traced responses surface the
 //! timing fields through the separate `trace` object instead.
 
@@ -83,7 +83,7 @@ pub struct SearchStats {
     pub depth_high_water: u64,
 }
 
-/// The fifteen legacy wire fields, in declaration order. Timing fields
+/// The fifteen wire fields, in declaration order. Timing fields
 /// are deliberately absent (module docs).
 const WIRE_FIELDS: [&str; 15] = [
     "boxes_visited",
@@ -318,7 +318,7 @@ mod tests {
             panic!("stats must serialize as a map");
         };
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, WIRE_FIELDS.to_vec(), "exactly the legacy fields");
+        assert_eq!(keys, WIRE_FIELDS.to_vec(), "exactly the wire fields");
 
         // Round trip: counters survive, timing fields reset to zero —
         // the bit-identity contract between timed and untimed runs.

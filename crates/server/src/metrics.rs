@@ -31,8 +31,8 @@ use std::time::Instant;
 
 use fannet_engine::protocol::{QueryTrace, Request, RequestTimeline};
 use fannet_engine::{
-    ConnectionInfo, LatencyStats, OpCounts, OpLatency, OpWindow, PhaseLatencyStats, ServerStats,
-    WindowStats, CONNECTION_TABLE_ROWS,
+    ConnectionInfo, LatencyStats, OpCounts, OpLatency, OpWindow, PhaseLatencyStats, QueryKind,
+    ServerStats, WindowStats, CONNECTION_TABLE_ROWS,
 };
 use fannet_obs::{Histogram, RateWindow};
 
@@ -208,13 +208,15 @@ impl ConnStats {
 /// Bumps the matching per-op counter for `request`.
 fn bump_op(ops: &mut OpCounts, request: &Request) {
     match request {
-        Request::Check { .. } => ops.check += 1,
-        Request::Tolerance { .. } => ops.tolerance += 1,
-        Request::Sensitivity { .. } => ops.sensitivity += 1,
-        Request::FaultCheck { .. } => ops.fault_check += 1,
-        Request::FaultTolerance { .. } => ops.fault_tolerance += 1,
-        Request::JointCheck { .. } => ops.joint_check += 1,
-        Request::JointTolerance { .. } => ops.joint_tolerance += 1,
+        Request::Query { query, .. } => match query.kind {
+            QueryKind::Check { .. } => ops.check += 1,
+            QueryKind::Tolerance { .. } => ops.tolerance += 1,
+            QueryKind::Sensitivity { .. } => ops.sensitivity += 1,
+            QueryKind::FaultCheck { .. } => ops.fault_check += 1,
+            QueryKind::FaultTolerance { .. } => ops.fault_tolerance += 1,
+            QueryKind::JointCheck { .. } => ops.joint_check += 1,
+            QueryKind::JointTolerance { .. } => ops.joint_tolerance += 1,
+        },
         Request::Stats { .. } => ops.stats += 1,
         Request::Metrics { .. } => ops.metrics += 1,
         Request::Shutdown { .. } => ops.shutdown += 1,

@@ -12,8 +12,7 @@ use std::time::Instant;
 
 use fannet::data::normalize::Affine;
 use fannet::data::Dataset;
-use fannet::engine::batch::run_batch;
-use fannet::engine::protocol::{parse_request, render_response};
+use fannet::engine::protocol::{handle, parse_request, render_response, Response};
 use fannet::engine::{Engine, EngineConfig};
 use fannet::nn::{fold, init, quantize, train, Activation};
 use rand::SeedableRng;
@@ -78,13 +77,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Round one: the cache is cold, most queries reach the solver.
     let t = Instant::now();
-    let responses = run_batch(&engine, &requests, 1);
+    let responses: Vec<Response> = requests.iter().map(|r| handle(&engine, r)).collect();
     let cold = t.elapsed();
     for response in responses.iter().take(5) {
         println!("  {}", render_response(response));
     }
     println!("  … {} responses in {cold:?}", responses.len());
-    let s = engine.stats();
+    let s = engine.counters().region.cache;
     println!(
         "round 1: {} queries → {} exact hits, {} subsumption hits, {} misses",
         s.lookups(),
@@ -95,13 +94,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Round two: identical traffic, warm cache — re-analysis is
     //    answered without a single fresh branch-and-bound.
-    let before = engine.stats();
+    let before = engine.counters().region.cache;
     let t = Instant::now();
-    let warm_responses = run_batch(&engine, &requests, 1);
+    let warm_responses: Vec<Response> = requests.iter().map(|r| handle(&engine, r)).collect();
     let warm = t.elapsed();
     // Only the `source` attribution (and its zeroed solver counters) may
     // change between rounds — verdicts and witnesses never do.
-    let verdicts = |responses: &[fannet::engine::protocol::Response]| -> Vec<String> {
+    let verdicts = |responses: &[Response]| -> Vec<String> {
         responses
             .iter()
             .map(|r| {
@@ -118,17 +117,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         verdicts(&warm_responses),
         "cache reuse never changes answers"
     );
-    let s = engine.stats();
+    let s = engine.counters().region.cache;
     println!(
         "round 2: +{} exact hits, +{} subsumption hits, +{} misses in {warm:?}",
         s.exact_hits - before.exact_hits,
         s.subsumption_hits - before.subsumption_hits,
         s.misses - before.misses,
     );
+    let region = engine.counters().region;
     println!(
         "cumulative solver work: {} boxes across {} cached verdicts",
-        engine.solver_stats().boxes_visited,
-        engine.cache_len()
+        region.solver.boxes_visited, region.len
     );
     Ok(())
 }

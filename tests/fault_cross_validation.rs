@@ -5,7 +5,7 @@
 //! engine's cached fault answers must equal the cold checker's bit for
 //! bit (DESIGN.md §11).
 
-use fannet::engine::{Engine, EngineConfig};
+use fannet::engine::{Answer, Engine, EngineConfig, Query, QueryKind, Reply};
 use fannet::faults::{
     propagate, FaultChecker, FaultCheckerConfig, FaultModel, FaultOutcome, FaultRegion,
     FaultedNetwork, JointChecker, JointOutcome, ProductRegion, ToleranceSearch,
@@ -16,6 +16,18 @@ use fannet::verify::region::NoiseRegion;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One engine query, untimed; the queries here are all valid.
+fn ask(engine: &Engine, x: &[Rational], label: usize, kind: QueryKind) -> Reply {
+    let query = Query {
+        input: x.to_vec(),
+        label,
+        kind,
+    };
+    engine
+        .answer(&query, fannet::verify::TierTimer::disabled())
+        .expect("valid")
+}
 
 /// Random small ReLU network with 8-bit quantized weights (the same
 /// family `checker_cross_validation` uses).
@@ -375,21 +387,23 @@ proptest! {
         };
         let (cold_outcome, cold_stats) =
             cold.check(&x, label, &noise, &model).expect("valid");
-        let reply = engine.joint_check(&x, label, &noise, &model).expect("valid");
-        prop_assert_eq!(&reply.outcome, &cold_outcome);
+        let check = QueryKind::JointCheck { region: noise, model };
+        let reply = ask(&engine, &x, label, check.clone());
+        prop_assert_eq!(&reply.answer, &Answer::Joint(cold_outcome.clone()));
         prop_assert_eq!(reply.stats, cold_stats);
-        let warm = engine.joint_check(&x, label, &noise, &model).expect("valid");
-        prop_assert_eq!(&warm.outcome, &cold_outcome);
+        let warm = ask(&engine, &x, label, check);
+        prop_assert_eq!(&warm.answer, &Answer::Joint(cold_outcome));
 
         let search = ToleranceSearch::new(50, 10);
         let (cold_tol, _) = cold.tolerance(&x, label, delta, &search).expect("valid");
-        let engine_tol = engine.joint_tolerance(&x, label, delta, &search).expect("valid");
-        prop_assert_eq!(&engine_tol, &cold_tol);
+        let tolerance = QueryKind::JointTolerance { delta, search };
+        let engine_tol = ask(&engine, &x, label, tolerance.clone()).answer;
+        prop_assert_eq!(&engine_tol, &Answer::JointTolerance(cold_tol.clone()));
         // The warm repeat replays entirely from the cache.
-        let misses = engine.joint_cache_stats().misses;
-        let again = engine.joint_tolerance(&x, label, delta, &search).expect("valid");
-        prop_assert_eq!(&again, &cold_tol);
-        prop_assert_eq!(engine.joint_cache_stats().misses, misses);
+        let misses = engine.counters().joint.cache.misses;
+        let again = ask(&engine, &x, label, tolerance).answer;
+        prop_assert_eq!(&again, &Answer::JointTolerance(cold_tol));
+        prop_assert_eq!(engine.counters().joint.cache.misses, misses);
     }
 
     /// The engine's fault answers are bit-identical to the cold checker —
@@ -413,21 +427,23 @@ proptest! {
             rel_eps: Rational::new(eps_numer, 100),
         };
         let (cold_outcome, cold_stats) = cold.check(&x, label, &model).expect("valid");
-        let reply = engine.fault_check(&x, label, &model).expect("valid");
-        prop_assert_eq!(&reply.outcome, &cold_outcome);
+        let check = QueryKind::FaultCheck { model };
+        let reply = ask(&engine, &x, label, check.clone());
+        prop_assert_eq!(&reply.answer, &Answer::Fault(cold_outcome.clone()));
         prop_assert_eq!(reply.stats, cold_stats);
-        let warm = engine.fault_check(&x, label, &model).expect("valid");
-        prop_assert_eq!(&warm.outcome, &cold_outcome);
+        let warm = ask(&engine, &x, label, check);
+        prop_assert_eq!(&warm.answer, &Answer::Fault(cold_outcome));
 
         let search = ToleranceSearch::new(100, 25);
         let (cold_tol, _) = cold.tolerance(&x, label, &search).expect("valid");
-        let engine_tol = engine.fault_tolerance(&x, label, &search).expect("valid");
-        prop_assert_eq!(&engine_tol, &cold_tol);
+        let tolerance = QueryKind::FaultTolerance { search };
+        let engine_tol = ask(&engine, &x, label, tolerance.clone()).answer;
+        prop_assert_eq!(&engine_tol, &Answer::FaultTolerance(cold_tol.clone()));
         // The warm repeat replays entirely from the cache.
-        let misses = engine.fault_cache_stats().misses;
-        let again = engine.fault_tolerance(&x, label, &search).expect("valid");
-        prop_assert_eq!(&again, &cold_tol);
-        prop_assert_eq!(engine.fault_cache_stats().misses, misses);
+        let misses = engine.counters().fault.cache.misses;
+        let again = ask(&engine, &x, label, tolerance).answer;
+        prop_assert_eq!(&again, &Answer::FaultTolerance(cold_tol));
+        prop_assert_eq!(engine.counters().fault.cache.misses, misses);
     }
 }
 
