@@ -17,9 +17,11 @@
 //!   shutdown.
 //! * [`metrics`] — the operator surface a `stats` request reports under
 //!   its `server` key (uptime, qps, queue gauges, per-op counts).
-//! * [`tcp`] — the `std::net` listener: non-blocking accept poll,
-//!   one reader thread per connection, read timeouts so the drain can
-//!   interrupt idle readers.
+//! * [`tcp`] — the `std::net` listener: a blocking accept woken by a
+//!   self-connection at shutdown, one reader thread per connection,
+//!   `TCP_NODELAY` so each response leaves at once, read timeouts so
+//!   the drain can interrupt idle readers, and a write timeout that
+//!   disconnects a client that stops reading.
 //! * [`signal`] — SIGINT/SIGTERM → the same graceful drain, without a
 //!   `libc` dependency.
 //!

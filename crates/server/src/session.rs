@@ -24,7 +24,8 @@
 //!
 //! One malformed, oversized or panicking request becomes one `error`
 //! response ([`fannet_engine::protocol::handle`] already contains solver
-//! panics); one connection whose client vanished mid-write has its
+//! panics); one connection whose client vanished mid-write — or, over
+//! TCP, stopped reading for [`crate::tcp::WRITE_STALL`] — has its
 //! writer dropped and its remaining responses discarded, while every
 //! other connection keeps streaming.
 //!
@@ -169,6 +170,7 @@ pub struct Connection {
 /// One parked completion: the rendered line plus its lifecycle stamps.
 #[derive(Debug)]
 struct Pending {
+    /// The response line, terminating `\n` included.
     line: String,
     meta: RequestMeta,
 }
@@ -233,9 +235,10 @@ impl Connection {
                 .record_phases(meta.queue_ns, meta.service_ns, sequence_ns);
             let mut wrote = false;
             if let Some(writer) = out.writer.as_mut() {
+                // One buffer per response (the line ends in its `\n`):
+                // a split write would leave the newline to Nagle.
                 let result = writer
                     .write_all(line.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
                     .and_then(|()| writer.flush());
                 if result.is_err() {
                     // Dead client: contain it, keep the session alive.
@@ -248,7 +251,7 @@ impl Connection {
             let wall_ns = ns_between(meta.enqueued, Instant::now());
             shared.metrics.record_write_phase(write_ns);
             if wrote {
-                self.stats.add_bytes_out(line.len() as u64 + 1);
+                self.stats.add_bytes_out(line.len() as u64);
             }
             shared.metrics.record_timeline(RequestTimeline {
                 conn: self.stats.id,
@@ -532,8 +535,9 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// histograms, checked against the slow-query threshold, and where a
 /// `stats` response gains its `server` block (a `metrics` response its
 /// request/tier/phase families and `recent` timelines). Returns the
-/// rendered line plus the op name and request tag the sequencer stamps
-/// into the phase records (`"invalid"` for undecodable frames).
+/// rendered line with its terminating `\n`, plus the op name and
+/// request tag the sequencer stamps into the phase records
+/// (`"invalid"` for undecodable frames).
 fn process_frame(shared: &Shared, job: &Job, queue_ns: u64) -> (String, &'static str, Option<u64>) {
     let conn_stats = &job.conn.stats;
     let mut op: &'static str = "invalid";
@@ -613,7 +617,9 @@ fn process_frame(shared: &Shared, job: &Job, queue_ns: u64) -> (String, &'static
             }
         }
     };
-    (protocol::render_response(&response), op, id)
+    let mut line = protocol::render_response(&response);
+    line.push('\n');
+    (line, op, id)
 }
 
 /// Emits the slow-query record when `wall_ns` crosses the configured

@@ -1,20 +1,22 @@
 //! Concurrency contracts of the session core (DESIGN.md §13): per-
 //! connection response ordering under a multi-worker pool, byte-level
-//! agreement with a single-worker run, containment of dead clients and
-//! garbage frames, and the graceful drain — over in-memory connections
-//! and over real loopback TCP.
+//! agreement with a single-worker run, containment of dead clients,
+//! stalled clients and garbage frames, one write per response, prompt
+//! accepts and round trips, and the graceful drain — over in-memory
+//! connections and over real loopback TCP.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use fannet_engine::{Engine, EngineConfig};
 use fannet_nn::{Activation, DenseLayer, Network, Readout};
 use fannet_numeric::Rational;
 use fannet_server::session::{answer_lines, serve_stdio, Session, SessionConfig};
-use fannet_server::tcp::serve_tcp;
+use fannet_server::tcp::{serve_tcp, WRITE_STALL};
 use fannet_tensor::Matrix;
 
 fn r(n: i128) -> Rational {
@@ -524,4 +526,218 @@ fn external_stop_flag_drains_the_listener() {
     let _idle = TcpStream::connect(addr).unwrap();
     stop.store(true, Ordering::SeqCst);
     server.join().unwrap().expect("signal-style stop drains");
+}
+
+/// A one-line warm `check`: after the first, every answer is a cache hit.
+const CHECK: &[u8] = b"{\"op\":\"check\",\"id\":1,\"input\":[100,82],\"label\":0,\"delta\":2}\n";
+
+/// Starts `serve_tcp` on an ephemeral loopback port with `workers`
+/// workers; returns the bound address and the listener thread.
+fn spawn_listener(workers: usize) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
+    let (addr_tx, addr_rx) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        serve_tcp(
+            engine(),
+            &SessionConfig::with_workers(workers),
+            "127.0.0.1:0",
+            || false,
+            move |addr| addr_tx.send(addr).unwrap(),
+        )
+    });
+    let addr = addr_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("listener came up");
+    (addr, server)
+}
+
+/// Sends an in-band `shutdown` on a fresh connection, checks the ack and
+/// waits for the listener to drain.
+fn shut_down(addr: SocketAddr, server: JoinHandle<std::io::Result<()>>) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+    let mut ack = String::new();
+    BufReader::new(stream).read_line(&mut ack).unwrap();
+    assert_eq!(ack.trim_end(), "{\"op\":\"shutdown\",\"ok\":true}");
+    server.join().unwrap().expect("listener exits cleanly");
+}
+
+/// A writer that records every `write` call it receives.
+#[derive(Clone, Default)]
+struct WriteLog(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(buf.to_vec());
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The sequencer hands each response to the writer as one buffer ending
+/// in its newline: a response split across writes would leave its tail
+/// to Nagle's algorithm on a socket.
+#[test]
+fn each_response_is_one_write_ending_in_newline() {
+    let session = Session::new(engine(), &SessionConfig::with_workers(3));
+    let log = WriteLog::default();
+    let conn = session.open_connection("log", Box::new(log.clone()));
+    let input = mixed_requests(3, 4) + "not json\n{\"op\":\"stats\",\"id\":9}\n";
+    session.run_reader(&conn, std::io::Cursor::new(input.as_bytes()));
+    session.close_connection(&conn);
+    session.drain();
+    let writes = log.0.lock().unwrap();
+    assert_eq!(
+        writes.len(),
+        input.lines().count(),
+        "one write per response"
+    );
+    for write in writes.iter() {
+        let text = String::from_utf8_lossy(write);
+        assert!(text.ends_with('\n'), "{text}");
+        assert_eq!(text.matches('\n').count(), 1, "{text}");
+    }
+}
+
+/// Request/response round trips on one connection are not held back by
+/// Nagle's algorithm waiting for the client's delayed ACK (~40 ms each).
+#[test]
+fn sequential_round_trips_are_answered_at_once() {
+    let (addr, server) = spawn_listener(1);
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let start = Instant::now();
+    for id in 0..50 {
+        writer
+            .write_all(
+                format!(
+                    "{{\"op\":\"check\",\"id\":{id},\"input\":[100,82],\"label\":0,\"delta\":2}}\n"
+                )
+                .as_bytes(),
+            )
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.starts_with(&format!("{{\"op\":\"check\",\"id\":{id},")),
+            "{line}"
+        );
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 round trips took {elapsed:?}"
+    );
+    drop((reader, writer));
+    shut_down(addr, server);
+}
+
+/// A client is accepted the moment it connects, not at the next tick of
+/// a polling loop.
+#[test]
+fn fresh_connections_are_accepted_at_once() {
+    let (addr, server) = spawn_listener(1);
+    let start = Instant::now();
+    for _ in 0..20 {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(CHECK).unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        assert!(line.starts_with("{\"op\":\"check\",\"id\":1,"), "{line}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "20 one-request connections took {elapsed:?}"
+    );
+    shut_down(addr, server);
+}
+
+/// A client that pipelines far more than the socket buffers hold and
+/// never reads must not stall anyone else. Its responses (400k of
+/// ~350 B) overrun any loopback buffer, so the sequencer's write to it
+/// blocks, holding that connection's lock; without a bound, the second
+/// worker then blocks on the lock, the queue fills and every reader
+/// stops. A second client makes round trips from the start of the flood
+/// until one of them has waited out that stall; with the [`WRITE_STALL`]
+/// write timeout the flooding client is cut off, so that round trip
+/// completes within `WRITE_STALL` + 5 s, and the flooding client sees its
+/// stream end (EOF or reset) instead of waiting forever.
+#[test]
+fn client_that_stops_reading_is_cut_off_without_stalling_others() {
+    const CHUNK_LINES: usize = 1_000;
+    const FLOOD_CHUNKS: usize = 400;
+    let (addr, server) = spawn_listener(2);
+    let (flooding_tx, flooding_rx) = mpsc::channel();
+    let (read_tx, read_rx) = mpsc::channel::<()>();
+    let flooder = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // Bounds the test when the server never lets go.
+        stream.set_write_timeout(Some(WRITE_STALL * 2)).unwrap();
+        stream.set_read_timeout(Some(WRITE_STALL * 2)).unwrap();
+        let chunk = CHECK.repeat(CHUNK_LINES);
+        for sent in 0..FLOOD_CHUNKS {
+            if sent == 1 {
+                flooding_tx.send(()).unwrap();
+            }
+            if stream.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+        // Read nothing until the other client got through the stall.
+        read_rx.recv().unwrap();
+        let mut buf = vec![0u8; 1 << 16];
+        let mut received = 0usize;
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => return Ok(received),
+                Ok(n) => received += n,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Err(received);
+                }
+                // A reset ends the stream as surely as a FIN.
+                Err(_) => return Ok(received),
+            }
+        }
+    });
+    flooding_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the flood started");
+
+    let bound = WRITE_STALL + Duration::from_secs(5);
+    let other = TcpStream::connect(addr).unwrap();
+    other.set_read_timeout(Some(bound)).unwrap();
+    let mut reader = BufReader::new(other.try_clone().unwrap());
+    let mut writer = other;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let waited = loop {
+        let sent = Instant::now();
+        writer.write_all(CHECK).unwrap();
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("the other client is answered while one client stalls");
+        assert!(line.starts_with("{\"op\":\"check\",\"id\":1,"), "{line}");
+        let waited = sent.elapsed();
+        if waited >= WRITE_STALL / 2 {
+            break waited;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the flood never stalled the server"
+        );
+    };
+    assert!(waited < bound, "answered after {waited:?}");
+
+    read_tx.send(()).unwrap();
+    let received = flooder.join().unwrap();
+    assert!(
+        received.is_ok(),
+        "the stalled client's stream never ended after {} bytes",
+        received.unwrap_err()
+    );
+    drop((reader, writer));
+    shut_down(addr, server);
 }
