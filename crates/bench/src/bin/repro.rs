@@ -205,29 +205,6 @@ struct JointAblationRow {
     stats: FaultStats,
 }
 
-/// One arm of the batched-propagation benchmark (DESIGN.md §16): the
-/// same deterministic frontier of sub-boxes screened by the scalar
-/// per-box float shadow and by the K-lane batched layout, plus a full
-/// interval-screened search per arm. Per-box verdicts, the search
-/// outcome (witness included) and every counter are asserted
-/// bit-identical between the arms before the rows are recorded —
-/// batching is pure layout, so the only observable difference is wall
-/// time.
-#[derive(Serialize)]
-struct BatchPropagationRow {
-    variant: &'static str,
-    delta: i64,
-    /// Best-of-three wall time to screen the whole frontier pool.
-    seconds: f64,
-    /// Sub-boxes in the deterministic frontier pool.
-    frontier_boxes: usize,
-    /// Boxes the float tier decides outright (bit-identical per arm).
-    decided_boxes: usize,
-    /// Full-search outcome with this arm's checker (bit-identical).
-    search_robust: bool,
-    search_stats: BabStats,
-}
-
 /// The `--bench-json` document.
 ///
 /// The `checker_ablation` and `fault_ablation` tables double as the
@@ -242,7 +219,6 @@ struct AblationReport {
     tier_attribution: Vec<TierAttributionRow>,
     fault_ablation: Vec<FaultAblationRow>,
     joint_ablation: Vec<JointAblationRow>,
-    batch_propagation: Vec<BatchPropagationRow>,
     engine_throughput: EngineThroughputReport,
     server_throughput: ServerThroughputReport,
     queue_attribution: Vec<QueueAttributionRow>,
@@ -547,133 +523,6 @@ fn joint_ablation_rows() -> Vec<JointAblationRow> {
                 verdict,
                 boxes_visited: stats.boxes_visited,
                 stats,
-            });
-        }
-    }
-    rows
-}
-
-/// The batched-propagation benchmark (the PR-6 tentpole): a
-/// deterministic frontier of sub-boxes — the shape the search's split
-/// queue takes at wide radii — screened box-by-box through the scalar
-/// [`FloatShadow`] and in K-lane groups through [`BatchFloatShadow`].
-/// Timing the propagation directly (rather than a whole cascade run,
-/// where the exact rational tier dominates wall time) isolates exactly
-/// the cost the batch layout changes. Per-box verdicts are asserted
-/// bit-identical, a full interval-screened search per arm pins the
-/// end-to-end outcome, witness and counters, and at the wide radii
-/// (±30% and up) the batched arm is asserted not slower than scalar.
-///
-/// [`FloatShadow`]: fannet_verify::propagate::FloatShadow
-/// [`BatchFloatShadow`]: fannet_verify::BatchFloatShadow
-fn batch_propagation_rows(deltas: &[i64]) -> Vec<BatchPropagationRow> {
-    use fannet_verify::propagate::{classify_box_float, BoxVerdict, FloatShadow};
-    use fannet_verify::{BatchFloatShadow, BatchWorkspace, BATCH_WIDTH};
-    const POOL: usize = 4096;
-    let cs = paper_study();
-    let inputs = fannet_bench::paper_test_inputs();
-    let labels = cs.test5.labels();
-    let idx = 6;
-    let shadow = FloatShadow::new(&cs.exact_net);
-    let batched = BatchFloatShadow::from_shadow(&shadow);
-    let enclosure = FloatShadow::enclose_input(&inputs[idx]);
-    let excluded = ExclusionSet::new();
-    let mut rows = Vec::new();
-    for &delta in deltas {
-        // Deterministic frontier: breadth-first bisection of the ±δ%
-        // region into a pool of sub-boxes.
-        let mut pool = vec![NoiseRegion::symmetric(delta, 5)];
-        let mut at = 0usize;
-        while pool.len() < POOL && at < 1 << 15 {
-            let slot = at % pool.len();
-            if let Some((a, b)) = pool[slot].split() {
-                pool[slot] = a;
-                pool.push(b);
-            }
-            at += 1;
-        }
-
-        // Scalar arm: one propagation per box, best of three passes.
-        let mut scalar_secs = f64::INFINITY;
-        let mut scalar_verdicts = Vec::new();
-        for _ in 0..3 {
-            scalar_verdicts.clear();
-            let t = Instant::now();
-            for region in &pool {
-                let outputs = shadow.output_intervals(&enclosure, region);
-                scalar_verdicts.push(classify_box_float(&outputs, labels[idx]));
-            }
-            scalar_secs = scalar_secs.min(t.elapsed().as_secs_f64());
-        }
-
-        // Batched arm: the same boxes in K-lane groups through one
-        // shared workspace.
-        let mut batched_secs = f64::INFINITY;
-        let mut batched_verdicts = Vec::new();
-        let mut ws = BatchWorkspace::default();
-        for _ in 0..3 {
-            batched_verdicts.clear();
-            let t = Instant::now();
-            for chunk in pool.chunks(BATCH_WIDTH) {
-                let group: Vec<&NoiseRegion> = chunk.iter().collect();
-                batched_verdicts.extend(batched.classify_batch(
-                    &enclosure,
-                    labels[idx],
-                    &group,
-                    &mut ws,
-                ));
-            }
-            batched_secs = batched_secs.min(t.elapsed().as_secs_f64());
-        }
-
-        assert_eq!(
-            batched_verdicts, scalar_verdicts,
-            "batched propagation changed a frontier verdict at ±{delta}%"
-        );
-        if delta >= 30 {
-            assert!(
-                batched_secs <= scalar_secs,
-                "batched propagation must not be slower than the scalar shadow \
-                 at ±{delta}% ({:.3}ms vs {:.3}ms over {} boxes)",
-                batched_secs * 1e3,
-                scalar_secs * 1e3,
-                pool.len(),
-            );
-        }
-
-        // End-to-end pin: the full interval-screened search with and
-        // without batching returns a bit-identical outcome (witness
-        // included) and counters.
-        let mut search = Vec::new();
-        for batching in [false, true] {
-            let checker = RegionChecker::new(&cs.exact_net, CheckerConfig::screened())
-                .with_batching(batching);
-            let region = NoiseRegion::symmetric(delta, 5);
-            search.push(
-                checker
-                    .check_region(&inputs[idx], labels[idx], &region, &excluded)
-                    .expect("widths"),
-            );
-        }
-        assert_eq!(
-            search[1], search[0],
-            "batched screening changed the search outcome or counters at ±{delta}%"
-        );
-        let (search_outcome, search_stats) = search.pop().expect("two search arms");
-
-        let decided = scalar_verdicts
-            .iter()
-            .filter(|v| !matches!(v, BoxVerdict::Unknown))
-            .count();
-        for (variant, seconds) in [("scalar", scalar_secs), ("batched", batched_secs)] {
-            rows.push(BatchPropagationRow {
-                variant,
-                delta,
-                seconds,
-                frontier_boxes: pool.len(),
-                decided_boxes: decided,
-                search_robust: search_outcome.is_robust(),
-                search_stats,
             });
         }
     }
@@ -1190,29 +1039,6 @@ fn run_bench_json(path: &str) {
         );
     }
 
-    println!("\nbatch propagation (scalar float shadow vs K-lane batched layout)");
-    let batch = batch_propagation_rows(&[15, 30, 50]);
-    for pair in batch.chunks(2) {
-        let [scalar, batched] = pair else {
-            unreachable!("rows come in scalar/batched pairs")
-        };
-        println!(
-            "±{:2}%: scalar {:>8.1}ms   batched {:>8.1}ms   ({:.2}x over {} frontier \
-             boxes, {} decided; search {})",
-            scalar.delta,
-            scalar.seconds * 1e3,
-            batched.seconds * 1e3,
-            scalar.seconds / batched.seconds.max(f64::EPSILON),
-            batched.frontier_boxes,
-            batched.decided_boxes,
-            if batched.search_robust {
-                "robust"
-            } else {
-                "counterexample"
-            },
-        );
-    }
-
     println!("\nengine throughput (resident verdict cache vs cold per-query starts)");
     let engine = engine_throughput_report();
     println!(
@@ -1290,7 +1116,6 @@ fn run_bench_json(path: &str) {
         tier_attribution: attribution,
         fault_ablation: fault,
         joint_ablation: joint,
-        batch_propagation: batch,
         engine_throughput: engine,
         server_throughput: server,
         queue_attribution: queue,

@@ -9,13 +9,11 @@
 //! sound-and-complete branch-and-bound query (property P2).
 
 use fannet_data::Dataset;
-use fannet_engine::{Answer, Engine, Query, QueryKind, Reply};
 use fannet_nn::Network;
 use fannet_numeric::Rational;
 use fannet_verify::bab::{CheckerConfig, RegionChecker};
 use fannet_verify::noise::ExclusionSet;
 use fannet_verify::region::NoiseRegion;
-use fannet_verify::TierTimer;
 use serde::{Deserialize, Serialize};
 
 use crate::behavior::rational_input;
@@ -179,42 +177,6 @@ pub fn robustness_radius_on(
     Some(hi)
 }
 
-/// [`robustness_radius`] answered by a resident [`Engine`] — the
-/// incremental form of the binary search (DESIGN.md §8).
-///
-/// The engine's verdict cache warm-starts the bracket from any earlier
-/// traffic on the same `(x, label)` (prior radius searches, `check`
-/// queries, nested analyses) and serves probes that cached verdicts
-/// subsume; a re-search after the cache is warm issues **zero** solver
-/// runs. The returned radius is identical to the cold search's — every
-/// cache rule is sound, so the minimum flipping `δ` cannot move.
-///
-/// # Panics
-///
-/// Panics if `max_delta` is outside `[1, 100]`, `label` is out of range,
-/// or widths mismatch.
-#[must_use]
-pub fn robustness_radius_engine(
-    engine: &Engine,
-    x: &[Rational],
-    label: usize,
-    max_delta: i64,
-) -> Option<i64> {
-    let query = Query {
-        input: x.to_vec(),
-        label,
-        kind: QueryKind::Tolerance { max_delta },
-    };
-    match engine.answer(&query, TierTimer::disabled()) {
-        Ok(Reply {
-            answer: Answer::Radius(radius),
-            ..
-        }) => radius,
-        Ok(reply) => unreachable!("a tolerance query answered {reply:?}"),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Runs the tolerance analysis over the correctly classified samples of
 /// `data` (by the paper's convention, misclassified samples are skipped).
 ///
@@ -271,44 +233,6 @@ pub fn par_analyze(
             index: i,
             label,
             radius: robustness_radius_on(&checker, &x, label, max_delta),
-        }
-    });
-    ToleranceReport {
-        max_delta,
-        per_input,
-    }
-}
-
-/// [`par_analyze`] against a resident [`Engine`]: the per-input binary
-/// searches fan across `input_threads` workers, every probe flows
-/// through the engine's verdict cache, and the report is byte-identical
-/// to [`analyze`]'s.
-///
-/// This replaces the cold re-verification pattern for sweep-style
-/// workloads: successive analyses against the same engine (larger
-/// `max_delta`, refreshed subsets, the Fig. 4 sweep rebuilt after new
-/// traffic) reuse every verdict the cache still holds instead of
-/// restarting each branch-and-bound from scratch.
-///
-/// # Panics
-///
-/// Panics if an index is out of range, widths mismatch, or `max_delta`
-/// is outside `[1, 100]`.
-#[must_use]
-pub fn engine_analyze(
-    engine: &Engine,
-    data: &Dataset,
-    indices: &[usize],
-    max_delta: i64,
-    input_threads: usize,
-) -> ToleranceReport {
-    let per_input = par::ordered_map(indices, input_threads, |&i| {
-        let (sample, label) = (data.samples()[i].as_slice(), data.labels()[i]);
-        let x = rational_input(sample);
-        InputRadius {
-            index: i,
-            label,
-            radius: robustness_radius_engine(engine, &x, label, max_delta),
         }
     });
     ToleranceReport {
@@ -417,46 +341,5 @@ mod tests {
     fn zero_max_delta_panics() {
         let net = comparator();
         let _ = robustness_radius(&net, &[r(1), r(1)], 0, 0);
-    }
-
-    #[test]
-    fn engine_analyze_matches_cold_analyze() {
-        use fannet_engine::EngineConfig;
-        let net = comparator();
-        let data = Dataset::new(
-            vec![vec![100.0, 95.0], vec![100.0, 82.0], vec![100.0, 50.0]],
-            vec![0, 0, 0],
-            2,
-        )
-        .unwrap();
-        let cold = analyze(&net, &data, &[0, 1, 2], 20);
-        let engine = Engine::new(net, EngineConfig::serving());
-        // Cold engine pass, warm engine pass, and a parallel warm pass
-        // must all equal the engine-less report byte for byte.
-        for threads in [1, 1, 4] {
-            let report = engine_analyze(&engine, &data, &[0, 1, 2], 20, threads);
-            assert_eq!(report, cold);
-        }
-        let s = engine.counters().region.cache;
-        assert!(s.exact_hits + s.subsumption_hits > 0);
-        // The warm re-analyses above must not have re-run the solver.
-        let misses = engine.counters().region.cache.misses;
-        let _ = engine_analyze(&engine, &data, &[0, 1, 2], 20, 1);
-        assert_eq!(engine.counters().region.cache.misses, misses);
-    }
-
-    #[test]
-    fn engine_radius_matches_closed_form() {
-        use fannet_engine::EngineConfig;
-        let net = comparator();
-        let engine = Engine::new(net, EngineConfig::serving());
-        for (x0, x1) in [(100i64, 82), (100, 95), (100, 99), (200, 100), (1000, 998)] {
-            let x = [r(i128::from(x0)), r(i128::from(x1))];
-            assert_eq!(
-                robustness_radius_engine(&engine, &x, 0, 50),
-                analytic_radius(x0, x1, 50),
-                "radius mismatch for ({x0}, {x1})"
-            );
-        }
     }
 }

@@ -714,7 +714,6 @@ struct FaultQuery<'a> {
 impl SearchDomain for FaultQuery<'_> {
     type Region = FaultRegion;
     type Witness = FaultWitness;
-    type Prepared = ();
     type Scratch = ();
 
     fn decide(

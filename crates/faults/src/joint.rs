@@ -514,7 +514,6 @@ struct JointQuery<'a> {
 impl SearchDomain for JointQuery<'_> {
     type Region = ProductRegion;
     type Witness = JointWitness;
-    type Prepared = ();
     type Scratch = ();
 
     fn decide(

@@ -289,192 +289,6 @@ impl From<Rational> for FloatInterval {
     }
 }
 
-/// Batched ("lane") forms of the interval transformers, operating on
-/// parallel `lo`/`hi` endpoint slices — one lane per box of a batch
-/// (DESIGN.md §16).
-///
-/// # Rounding-charge audit
-///
-/// Every kernel applies, per lane, the **exact same operation sequence**
-/// as the scalar [`FloatInterval`] methods — same four endpoint
-/// products, same min/max selection, same NaN degradation, same one-ulp
-/// outward step per multiply and per add. The batched results are
-/// therefore *bitwise equal* to the scalar chain, which is strictly
-/// stronger than the enclosure lemma the tier needs (equality implies
-/// enclosure) and is what lets batched screening keep verdicts,
-/// witnesses and stats bit-identical to the scalar tier. A cheaper
-/// audit — accumulate a fused row in round-to-nearest and charge a
-/// single `next_down`/`next_up` at the end — is *not* sound without
-/// tracking accumulated error bounds: two nearest-roundings can land
-/// more than one ulp step from the true value near binade boundaries,
-/// so that design was rejected (DESIGN.md §16). The batched win comes
-/// from the contiguous lane layout (cache-friendly row sweeps, no
-/// per-box allocation), not from weakening the rounding discipline.
-///
-/// Lanes hold only endpoints produced by the interval transformers, so
-/// they are always valid (`lo ≤ hi`, never NaN) — the kernels construct
-/// intervals from raw endpoints without re-validation.
-pub mod lanes {
-    use super::FloatInterval;
-
-    /// Sets every lane of `lo`/`hi` to the interval `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices' lengths differ.
-    pub fn fill_broadcast(lo: &mut [f64], hi: &mut [f64], v: FloatInterval) {
-        assert_eq!(lo.len(), hi.len(), "lane slices must have equal length");
-        lo.fill(v.lo);
-        hi.fill(v.hi);
-    }
-
-    /// Lane-wise fused multiply-accumulate into the accumulator:
-    /// `z[k] = z[k].add(&a[k].mul_interval(&w))` for every lane `k` —
-    /// bitwise identical to the scalar chain per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices' lengths differ.
-    pub fn mul_add_accumulate(
-        z_lo: &mut [f64],
-        z_hi: &mut [f64],
-        a_lo: &[f64],
-        a_hi: &[f64],
-        w: FloatInterval,
-    ) {
-        let lanes = z_lo.len();
-        assert_eq!(z_hi.len(), lanes, "lane slices must have equal length");
-        assert_eq!(a_lo.len(), lanes, "lane slices must have equal length");
-        assert_eq!(a_hi.len(), lanes, "lane slices must have equal length");
-        for k in 0..lanes {
-            let a = FloatInterval {
-                lo: a_lo[k],
-                hi: a_hi[k],
-            };
-            let z = FloatInterval {
-                lo: z_lo[k],
-                hi: z_hi[k],
-            };
-            let out = z.add(&a.mul_interval(&w));
-            z_lo[k] = out.lo;
-            z_hi[k] = out.hi;
-        }
-    }
-
-    /// Lane-wise outward-rounded ReLU, bitwise identical to
-    /// [`FloatInterval::relu`] per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices' lengths differ.
-    pub fn relu_lanes(lo: &mut [f64], hi: &mut [f64]) {
-        assert_eq!(lo.len(), hi.len(), "lane slices must have equal length");
-        for k in 0..lo.len() {
-            let v = FloatInterval {
-                lo: lo[k],
-                hi: hi[k],
-            };
-            let out = v.relu();
-            lo[k] = out.lo;
-            hi[k] = out.hi;
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn lane_values() -> Vec<FloatInterval> {
-            vec![
-                FloatInterval::new(-1.5, 2.25),
-                FloatInterval::new(0.1, 0.3),
-                FloatInterval::ZERO,
-                FloatInterval::new(-7.0, -0.125),
-                FloatInterval::EVERYTHING,
-                FloatInterval::new(f64::MAX / 2.0, f64::MAX),
-                FloatInterval::new(-1e-300, 1e-300),
-            ]
-        }
-
-        #[test]
-        fn mul_add_accumulate_is_bitwise_equal_to_the_scalar_chain() {
-            let acts = lane_values();
-            let weights = [
-                FloatInterval::new(0.7, 0.7),
-                FloatInterval::new(-2.5, 1.25),
-                FloatInterval::ZERO,
-                FloatInterval::EVERYTHING,
-            ];
-            let bias = FloatInterval::new(-0.4, 0.9);
-            let lanes = acts.len();
-
-            // Scalar reference: z = bias; z = z.add(a.mul(w)) per weight.
-            let mut reference: Vec<FloatInterval> = vec![bias; lanes];
-            for w in &weights {
-                for (z, a) in reference.iter_mut().zip(&acts) {
-                    *z = z.add(&a.mul(w));
-                }
-            }
-
-            let mut z_lo = vec![0.0; lanes];
-            let mut z_hi = vec![0.0; lanes];
-            fill_broadcast(&mut z_lo, &mut z_hi, bias);
-            let a_lo: Vec<f64> = acts.iter().map(FloatInterval::lo).collect();
-            let a_hi: Vec<f64> = acts.iter().map(FloatInterval::hi).collect();
-            for w in &weights {
-                mul_add_accumulate(&mut z_lo, &mut z_hi, &a_lo, &a_hi, *w);
-            }
-
-            for k in 0..lanes {
-                assert_eq!(
-                    (z_lo[k].to_bits(), z_hi[k].to_bits()),
-                    (reference[k].lo().to_bits(), reference[k].hi().to_bits()),
-                    "lane {k} must match the scalar chain bit for bit"
-                );
-            }
-        }
-
-        #[test]
-        fn relu_lanes_matches_scalar_relu() {
-            let values = lane_values();
-            let mut lo: Vec<f64> = values.iter().map(FloatInterval::lo).collect();
-            let mut hi: Vec<f64> = values.iter().map(FloatInterval::hi).collect();
-            relu_lanes(&mut lo, &mut hi);
-            for (k, v) in values.iter().enumerate() {
-                let want = v.relu();
-                assert_eq!(
-                    (lo[k].to_bits(), hi[k].to_bits()),
-                    (want.lo().to_bits(), want.hi().to_bits()),
-                    "lane {k}"
-                );
-            }
-        }
-
-        #[test]
-        fn fill_broadcast_sets_every_lane() {
-            let mut lo = vec![1.0; 5];
-            let mut hi = vec![1.0; 5];
-            fill_broadcast(&mut lo, &mut hi, FloatInterval::new(-2.0, 3.0));
-            assert!(lo.iter().all(|&v| v == -2.0));
-            assert!(hi.iter().all(|&v| v == 3.0));
-        }
-
-        #[test]
-        #[should_panic(expected = "equal length")]
-        fn mismatched_lane_lengths_panic() {
-            let mut z_lo = vec![0.0; 3];
-            let mut z_hi = vec![0.0; 3];
-            mul_add_accumulate(
-                &mut z_lo,
-                &mut z_hi,
-                &[0.0; 2],
-                &[0.0; 2],
-                FloatInterval::ZERO,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,7 +39,6 @@ pub mod scalar;
 
 pub use affine::AffineForm;
 pub use fixed::Fixed;
-pub use float_interval::lanes;
 pub use float_interval::FloatInterval;
 pub use interval::Interval;
 pub use rational::Rational;

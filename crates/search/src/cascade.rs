@@ -163,36 +163,8 @@ impl<'a, R: ?Sized> Cascade<'a, R> {
     /// Runs the tiers in order and returns the first decided verdict
     /// (`Unknown` if every tier gives up), booking per-tier counters.
     pub fn classify(&self, region: &R, stats: &mut SearchStats) -> BoxVerdict {
-        self.classify_inner(region, None, stats)
-    }
-
-    /// [`Cascade::classify`] with the *first* tier's verdict supplied by
-    /// the caller — the batched-screening entry point. The first tier
-    /// books its hit or fallback exactly as if it had run here, but with
-    /// zero additional nanoseconds (the batched pass booked its elapsed
-    /// time when it ran); the remaining tiers run normally, so counters
-    /// stay bit-identical to the scalar [`Cascade::classify`] whenever
-    /// `first` equals what tier 0 would have returned.
-    pub fn classify_with_first(
-        &self,
-        region: &R,
-        first: BoxVerdict,
-        stats: &mut SearchStats,
-    ) -> BoxVerdict {
-        self.classify_inner(region, Some(first), stats)
-    }
-
-    fn classify_inner(
-        &self,
-        region: &R,
-        mut first: Option<BoxVerdict>,
-        stats: &mut SearchStats,
-    ) -> BoxVerdict {
         for tier in &self.tiers {
-            let (verdict, ns) = match first.take() {
-                Some(precomputed) => (precomputed, 0),
-                None => self.timer.time(|| tier.classify(region)),
-            };
+            let (verdict, ns) = self.timer.time(|| tier.classify(region));
             let (hits, fallbacks, elapsed) = match tier.tier() {
                 TierKind::Interval => (
                     &mut stats.interval_hits,
@@ -346,33 +318,6 @@ mod tests {
         assert_eq!(stats, SearchStats::default());
         assert!(cascade.is_empty());
         assert_eq!(cascade.len(), 0);
-    }
-
-    #[test]
-    fn precomputed_first_tier_verdict_books_identically() {
-        let interval = Threshold {
-            kind: TierKind::Interval,
-            decides_at: 10,
-            verdict: BoxVerdict::AlwaysCorrect,
-        };
-        let zonotope = Threshold {
-            kind: TierKind::Zonotope,
-            decides_at: 5,
-            verdict: BoxVerdict::AlwaysWrong,
-        };
-        let cascade = Cascade::new(vec![&interval, &zonotope]);
-
-        // Supplying the verdict tier 0 would have produced must book the
-        // same counters as running it.
-        for region in [12i64, 7, 2] {
-            let mut live = SearchStats::default();
-            let want = cascade.classify(&region, &mut live);
-            let mut supplied = SearchStats::default();
-            let first = interval.classify(&region);
-            let got = cascade.classify_with_first(&region, first, &mut supplied);
-            assert_eq!(got, want, "region {region}");
-            assert_eq!(supplied, live, "region {region}");
-        }
     }
 
     #[test]

@@ -11,9 +11,9 @@ pub enum BoxDecision<R, W> {
     /// A single concrete witness (e.g. a misclassifying grid point).
     Witness(W),
     /// The *whole box* is proven uniformly witnessing; carries the
-    /// canonically-first witness. The search treats it like
-    /// [`BoxDecision::Witness`]; [`crate::collect_witnesses`]
-    /// additionally enumerates the rest of the box.
+    /// canonically-first witness. [`crate::collect_witnesses`] hands it
+    /// to the domain's expansion hook, which enumerates the rest of the
+    /// box up to the cap ([`crate::search_serial`] keeps only the first).
     UniformWitness(W),
     /// Undecided: the two halves to recurse into.
     Split(R, R),
@@ -94,41 +94,11 @@ pub trait SearchDomain {
     type Region: Clone;
     /// The witness type produced (e.g. an exact counterexample record).
     type Witness;
-    /// Screening work precomputed for a whole *batch* of frontier boxes
-    /// at once ([`SearchDomain::prepare_batch`]); `()` for domains that
-    /// never batch.
-    type Prepared;
     /// Reusable workspace threaded through every `decide` call so hot
     /// propagation paths stop allocating per box; `()` for domains
-    /// without one. Each search loop owns exactly one, created via
+    /// without one. Each search owns exactly one, created via
     /// `Default`.
     type Scratch: Default;
-
-    /// How many frontier boxes [`SearchDomain::prepare_batch`] wants per
-    /// call. `1` (the default) disables batching entirely — the search
-    /// loops then never gather a batch and never call `prepare_batch`.
-    fn batch_width(&self) -> usize {
-        1
-    }
-
-    /// Screens `regions` (up to [`SearchDomain::batch_width`] of them)
-    /// in one batched pass, returning one prepared value per region in
-    /// order. Returning an empty vector declines the batch (every box
-    /// then takes the scalar path).
-    ///
-    /// Per-box *counters* must not be booked here — they are booked by
-    /// [`SearchDomain::decide_prepared`] when the box is actually
-    /// visited, which keeps stats bit-identical to the scalar path even
-    /// when the search stops before consuming the whole batch. Only the
-    /// never-serialized `*_ns` timing fields may accumulate here.
-    fn prepare_batch(
-        &self,
-        _regions: &[&Self::Region],
-        _scratch: &mut Self::Scratch,
-        _stats: &mut SearchStats,
-    ) -> Vec<Self::Prepared> {
-        Vec::new()
-    }
 
     /// Decides one box at `depth` splits from the root, booking any
     /// counters it consumes (screen passes, exact evaluations, splits)
@@ -140,19 +110,4 @@ pub trait SearchDomain {
         scratch: &mut Self::Scratch,
         stats: &mut SearchStats,
     ) -> BoxDecision<Self::Region, Self::Witness>;
-
-    /// [`SearchDomain::decide`] for a box whose batched screening ran at
-    /// [`SearchDomain::prepare_batch`] time. The verdict and every
-    /// booked counter must be bit-identical to the scalar `decide`; the
-    /// default ignores `prepared` and delegates.
-    fn decide_prepared(
-        &self,
-        region: &Self::Region,
-        _prepared: Option<Self::Prepared>,
-        depth: u32,
-        scratch: &mut Self::Scratch,
-        stats: &mut SearchStats,
-    ) -> BoxDecision<Self::Region, Self::Witness> {
-        self.decide(region, depth, scratch, stats)
-    }
 }

@@ -10,9 +10,9 @@
 //! 2. prune boxes proven uniformly correct, stop on boxes proven
 //!    uniformly wrong (with a concrete witness), split the rest
 //!    ([`SearchDomain::decide`], [`BoxDecision`]);
-//! 3. explore the box tree depth-first, left half first, so the first
-//!    witness found is the canonically first one ([`search_serial`]);
-//!    [`collect_witnesses`] is the same walk gathering up to a cap;
+//! 3. explore the box tree depth-first, left half first, so witnesses
+//!    arrive in canonical order ([`collect_witnesses`], one loop);
+//!    [`search_serial`] is that walk stopped at the first witness;
 //! 4. bound the answer from below with a verdict-driven bisection
 //!    ([`tolerance_search`]).
 //!

@@ -1,134 +1,52 @@
-//! The branch-and-bound loops: the serial DFS and the single-pass
-//! witness collector (DESIGN.md §12/§16). Queries run one per thread;
-//! callers parallelize across queries, never inside one (DESIGN.md §7).
+//! The branch-and-bound loop: one depth-first walk that collects up to
+//! a cap of witnesses; the single-witness search is that walk with cap 1
+//! (DESIGN.md §12). Queries run one per thread; callers parallelize
+//! across queries, never inside one (DESIGN.md §7).
 
 use crate::domain::{BoxDecision, SearchDomain, SearchOutcome};
 use crate::stats::SearchStats;
 
-/// One DFS stack entry: a box, its split depth, and its tier-0 screen
-/// result if a batched [`SearchDomain::prepare_batch`] pass already
-/// covered it.
-type Entry<D> = (
-    <D as SearchDomain>::Region,
-    u32,
-    Option<<D as SearchDomain>::Prepared>,
-);
-
-/// Screens `head` together with the topmost unprepared `stack` entries
-/// (the boxes the DFS visits next) in one [`SearchDomain::prepare_batch`]
-/// call, parks each gathered entry's prepared value on the stack and
-/// returns the head's. `None` when the domain declines the batch.
-fn prepare_frontier<D: SearchDomain>(
-    domain: &D,
-    head: &D::Region,
-    stack: &mut [Entry<D>],
-    scratch: &mut D::Scratch,
-    stats: &mut SearchStats,
-) -> Option<D::Prepared> {
-    let idxs: Vec<usize> = (0..stack.len())
-        .rev()
-        .filter(|&i| stack[i].2.is_none())
-        .take(domain.batch_width() - 1)
-        .collect();
-    let mut group: Vec<&D::Region> = Vec::with_capacity(1 + idxs.len());
-    group.push(head);
-    group.extend(idxs.iter().map(|&i| &stack[i].0));
-    let mut prepared = domain.prepare_batch(&group, scratch, stats);
-    if prepared.is_empty() {
-        return None;
-    }
-    assert_eq!(
-        prepared.len(),
-        group.len(),
-        "prepare_batch must return one prepared value per region"
-    );
-    for (&i, p) in idxs.iter().zip(prepared.drain(1..)) {
-        stack[i].2 = Some(p);
-    }
-    prepared.pop()
-}
-
-/// Serial depth-first search over `root`, LIFO so memory stays at
-/// `O(depth · box size)`. The first witness in DFS pre-order wins, and
-/// left halves are explored first, so the witness is the canonically
-/// first one.
+/// Serial depth-first search over `root` for the canonically first
+/// witness: [`collect_witnesses`] with cap 1.
 ///
 /// `max_boxes` bounds how many boxes may be taken off the stack; when
 /// it runs out the outcome degrades to [`SearchOutcome::Undecided`]
 /// with `budget_exhausted` set (pass `None` for complete domains —
 /// they terminate by splitting to unsplittable boxes).
-///
-/// Domains with [`SearchDomain::batch_width`] > 1 get their frontier
-/// drained in batches: when an unprepared box is popped, the topmost
-/// unprepared stack entries join it in one `prepare_batch` call, and
-/// each box consumes its prepared screening when (and only when) it is
-/// actually visited — visit order, verdicts, witnesses and every stat
-/// counter stay bit-identical to the scalar path.
 #[must_use]
 pub fn search_serial<D: SearchDomain>(
     domain: &D,
     root: D::Region,
     max_boxes: Option<u64>,
 ) -> (SearchOutcome<D::Witness>, SearchStats) {
-    let mut stats = SearchStats::default();
-    let mut scratch = D::Scratch::default();
-    let mut stack: Vec<Entry<D>> = vec![(root, 0u32, None)];
-    let mut undecided = false;
-    let batching = domain.batch_width() > 1;
-
-    while let Some((region, depth, prepared)) = stack.pop() {
-        if let Some(max) = max_boxes {
-            if stats.boxes_visited >= max {
-                stats.budget_exhausted = true;
-                undecided = true;
-                break;
-            }
-        }
-        stats.boxes_visited += 1;
-        stats.note_depth(depth);
-        let prepared = match prepared {
-            None if batching => {
-                prepare_frontier(domain, &region, &mut stack, &mut scratch, &mut stats)
-            }
-            prepared => prepared,
-        };
-        match domain.decide_prepared(&region, prepared, depth, &mut scratch, &mut stats) {
-            BoxDecision::Pruned => {}
-            BoxDecision::Witness(w) | BoxDecision::UniformWitness(w) => {
-                return (SearchOutcome::Witness(w), stats);
-            }
-            BoxDecision::Split(a, b) => {
-                // Push the right half first so the left (canonically
-                // first) half is explored first — deterministic witness
-                // order.
-                stack.push((b, depth + 1, None));
-                stack.push((a, depth + 1, None));
-            }
-            BoxDecision::Abandon => undecided = true,
-            BoxDecision::AbandonAll => {
-                undecided = true;
-                break;
-            }
-        }
-    }
-    let outcome = if undecided {
-        SearchOutcome::Undecided
-    } else {
-        SearchOutcome::Proven
+    // With cap 1 a uniformly witnessing box contributes only its first
+    // witness, which already fills the cap.
+    let (mut found, complete, stats) =
+        collect_witnesses(domain, root, 1, max_boxes, |_, w, sink, _| {
+            sink.push(w);
+            false
+        });
+    let outcome = match (found.pop(), complete) {
+        (Some(w), _) => SearchOutcome::Witness(w),
+        (None, true) => SearchOutcome::Proven,
+        (None, false) => SearchOutcome::Undecided,
     };
     (outcome, stats)
 }
 
-// ---------------------------------------------------------------------------
-// Witness collection
-// ---------------------------------------------------------------------------
-
-/// Collects up to `cap` distinct witnesses in a **single** DFS pass.
+/// Collects up to `cap` distinct witnesses in a **single** DFS pass,
+/// LIFO so memory stays at `O(depth · box size)`. Left halves are
+/// explored first, so witnesses arrive in canonical (split-tree) order
+/// and the first one is the canonically first witness of the root.
 ///
 /// Semantically equivalent to restarting the search `cap` times with
 /// growing exclusion sets, but each proven-safe box is pruned once
 /// instead of once per restart — the asymptotic difference between
 /// `O(search)` and `O(cap · search)`.
+///
+/// `max_boxes` bounds how many boxes may be taken off the stack; when
+/// it runs out the walk stops incomplete with `budget_exhausted` set
+/// (pass `None` for complete domains).
 ///
 /// `expand_uniform` handles a [`BoxDecision::UniformWitness`] box: it
 /// receives the box and its first witness and must push *every* witness
@@ -138,13 +56,18 @@ pub fn search_serial<D: SearchDomain>(
 /// how to enumerate a box's concretization.
 ///
 /// Returns `(witnesses, exhausted, stats)` — `exhausted` is `true` when
-/// the whole root was explored (every witness found before the cap and
-/// no box abandoned).
+/// the whole root was explored (every witness found before the cap, no
+/// box abandoned and the budget not exhausted).
+///
+/// # Panics
+///
+/// Panics if `cap` is zero.
 #[must_use]
 pub fn collect_witnesses<D: SearchDomain>(
     domain: &D,
     root: D::Region,
     cap: usize,
+    max_boxes: Option<u64>,
     mut expand_uniform: impl FnMut(
         &D::Region,
         D::Witness,
@@ -160,6 +83,11 @@ pub fn collect_witnesses<D: SearchDomain>(
     let mut complete = true;
 
     while let Some((region, depth)) = stack.pop() {
+        if max_boxes.is_some_and(|max| stats.boxes_visited >= max) {
+            stats.budget_exhausted = true;
+            complete = false;
+            break;
+        }
         stats.boxes_visited += 1;
         stats.note_depth(depth);
         match domain.decide(&region, depth, &mut scratch, &mut stats) {
@@ -176,6 +104,9 @@ pub fn collect_witnesses<D: SearchDomain>(
                 }
             }
             BoxDecision::Split(a, b) => {
+                // Push the right half first so the left (canonically
+                // first) half is explored first — deterministic witness
+                // order.
                 stack.push((b, depth + 1));
                 stack.push((a, depth + 1));
             }
@@ -193,7 +124,6 @@ pub fn collect_witnesses<D: SearchDomain>(
 mod tests {
     use super::*;
     use crate::domain::BoxDecision;
-    use std::cell::Cell;
 
     /// A toy domain over integer ranges: witnesses are the members of a
     /// fixed "bad" set; a range splits until it is a single integer.
@@ -204,11 +134,16 @@ mod tests {
         abandon_at_depth: Option<u32>,
     }
 
-    impl RangeDomain {
-        fn decide_impl(
+    impl SearchDomain for RangeDomain {
+        type Region = (i64, i64);
+        type Witness = i64;
+        type Scratch = ();
+
+        fn decide(
             &self,
-            (lo, hi): (i64, i64),
+            &(lo, hi): &(i64, i64),
             depth: u32,
+            _scratch: &mut (),
             stats: &mut SearchStats,
         ) -> BoxDecision<(i64, i64), i64> {
             if !self.bad.iter().any(|&b| lo <= b && b <= hi) {
@@ -235,80 +170,6 @@ mod tests {
         }
     }
 
-    impl SearchDomain for RangeDomain {
-        type Region = (i64, i64);
-        type Witness = i64;
-        type Prepared = ();
-        type Scratch = ();
-
-        fn decide(
-            &self,
-            &(lo, hi): &(i64, i64),
-            depth: u32,
-            _scratch: &mut (),
-            stats: &mut SearchStats,
-        ) -> BoxDecision<(i64, i64), i64> {
-            self.decide_impl((lo, hi), depth, stats)
-        }
-    }
-
-    /// [`RangeDomain`] with batched frontier screening: `prepare_batch`
-    /// hands every box its own region back, and `decide_prepared`
-    /// asserts the alignment — a prepared value arriving at the wrong
-    /// box would trip it immediately.
-    struct BatchRangeDomain {
-        inner: RangeDomain,
-        width: usize,
-        prepare_calls: Cell<usize>,
-        prepared_boxes: Cell<usize>,
-    }
-
-    impl SearchDomain for BatchRangeDomain {
-        type Region = (i64, i64);
-        type Witness = i64;
-        type Prepared = (i64, i64);
-        type Scratch = ();
-
-        fn batch_width(&self) -> usize {
-            self.width
-        }
-
-        fn prepare_batch(
-            &self,
-            regions: &[&(i64, i64)],
-            _scratch: &mut (),
-            _stats: &mut SearchStats,
-        ) -> Vec<(i64, i64)> {
-            self.prepare_calls.set(self.prepare_calls.get() + 1);
-            regions.iter().map(|&&r| r).collect()
-        }
-
-        fn decide(
-            &self,
-            &(lo, hi): &(i64, i64),
-            depth: u32,
-            _scratch: &mut (),
-            stats: &mut SearchStats,
-        ) -> BoxDecision<(i64, i64), i64> {
-            self.inner.decide_impl((lo, hi), depth, stats)
-        }
-
-        fn decide_prepared(
-            &self,
-            region: &(i64, i64),
-            prepared: Option<(i64, i64)>,
-            depth: u32,
-            _scratch: &mut (),
-            stats: &mut SearchStats,
-        ) -> BoxDecision<(i64, i64), i64> {
-            if let Some(p) = prepared {
-                assert_eq!(p, *region, "prepared value delivered to the wrong box");
-                self.prepared_boxes.set(self.prepared_boxes.get() + 1);
-            }
-            self.inner.decide_impl(*region, depth, stats)
-        }
-    }
-
     #[test]
     fn serial_finds_first_witness_or_proves() {
         let domain = RangeDomain {
@@ -326,42 +187,6 @@ mod tests {
         assert!(outcome.is_proven());
         assert_eq!(stats.pruned_correct, 1);
         assert_eq!(outcome.witness(), None);
-    }
-
-    #[test]
-    fn batched_frontier_matches_the_scalar_search() {
-        for (bad, budget) in [
-            (vec![], None),
-            (vec![55, 9, 33], None),
-            (vec![63], Some(7)),
-            (vec![4, 5, 6, 7], None),
-        ] {
-            let plain = RangeDomain {
-                bad: bad.clone(),
-                abandon_at_depth: None,
-            };
-            let batched = BatchRangeDomain {
-                inner: RangeDomain {
-                    bad,
-                    abandon_at_depth: None,
-                },
-                width: 4,
-                prepare_calls: Cell::new(0),
-                prepared_boxes: Cell::new(0),
-            };
-            let (want, want_stats) = search_serial(&plain, (0, 63), budget);
-            let (got, got_stats) = search_serial(&batched, (0, 63), budget);
-            assert_eq!(got, want, "batched serial must match scalar");
-            assert_eq!(got_stats, want_stats, "batched stats must match scalar");
-            assert!(
-                batched.prepare_calls.get() > 0,
-                "batching must actually run"
-            );
-            assert!(
-                batched.prepared_boxes.get() > 0,
-                "visited boxes must consume their prepared screens"
-            );
-        }
     }
 
     #[test]
@@ -408,7 +233,7 @@ mod tests {
             true
         };
         // The (4,7) box is uniformly bad once the search narrows to it.
-        let (found, exhausted, _) = collect_witnesses(&domain, (0, 7), 3, expand);
+        let (found, exhausted, _) = collect_witnesses(&domain, (0, 7), 3, None, expand);
         assert_eq!(found, vec![4, 5, 6]);
         assert!(!exhausted, "cap reached before the region was exhausted");
 
@@ -420,7 +245,7 @@ mod tests {
             sink.extend(first..=region.1);
             true
         };
-        let (found, exhausted, _) = collect_witnesses(&domain, (0, 7), usize::MAX, all);
+        let (found, exhausted, _) = collect_witnesses(&domain, (0, 7), usize::MAX, None, all);
         assert_eq!(found, vec![4, 5, 6, 7]);
         assert!(exhausted);
     }
@@ -432,6 +257,6 @@ mod tests {
             bad: vec![],
             abandon_at_depth: None,
         };
-        let _ = collect_witnesses(&domain, (0, 7), 0, |_, _, _, _| true);
+        let _ = collect_witnesses(&domain, (0, 7), 0, None, |_, _, _, _| true);
     }
 }

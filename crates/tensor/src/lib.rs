@@ -21,9 +21,7 @@
 //! # Ok::<(), fannet_tensor::ShapeError>(())
 //! ```
 
-pub mod lanes;
 pub mod matrix;
 pub mod vector;
 
-pub use lanes::LaneMatrix;
 pub use matrix::{Matrix, ShapeError};

@@ -39,16 +39,6 @@
 //!
 //! Each query runs [`fannet_search::search_serial`] on the calling
 //! thread; analyses parallelize across queries instead (DESIGN.md §7).
-//!
-//! ## Batched screening
-//!
-//! When the interval tier is enabled, frontier boxes are screened in
-//! groups of up to [`BATCH_WIDTH`] through the lane-major
-//! [`BatchFloatShadow`] (DESIGN.md §16). Each lane replays the scalar
-//! [`FloatShadow`] rounding sequence bit for bit, so batching changes
-//! cache behaviour only — never a verdict, witness or counter.
-//! [`RegionChecker::with_batching`] restores the scalar screen for A/B
-//! comparison.
 
 use std::borrow::Cow;
 
@@ -60,7 +50,6 @@ use fannet_search::{
 use fannet_tensor::ShapeError;
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{BatchFloatShadow, BatchWorkspace, BATCH_WIDTH};
 use crate::exact;
 use crate::noise::{ExclusionSet, NoiseVector};
 use crate::propagate::{
@@ -301,10 +290,6 @@ pub struct RegionChecker<'n> {
     /// query.
     shadow: Option<Cow<'n, FloatShadow>>,
     zonotope: Option<Cow<'n, ZonotopeShadow>>,
-    /// Batched re-layout of the float shadow (DESIGN.md §16); present
-    /// iff the interval tier is active and batching was not disabled
-    /// via [`RegionChecker::with_batching`].
-    batch: Option<BatchFloatShadow>,
 }
 
 impl<'n> RegionChecker<'n> {
@@ -355,30 +340,12 @@ impl<'n> RegionChecker<'n> {
         } else {
             None
         };
-        let batch = shadow.as_deref().map(BatchFloatShadow::from_shadow);
         RegionChecker {
             net,
             config,
             shadow,
             zonotope,
-            batch,
         }
-    }
-
-    /// Enables or disables batched frontier screening (on by default
-    /// whenever the interval tier is active). Verdicts, witnesses and
-    /// every stat counter are bit-identical either way — the lanes
-    /// replay the scalar operation sequence exactly (DESIGN.md §16) —
-    /// so the toggle exists only for the scalar-vs-batched bench arm
-    /// and for debugging.
-    #[must_use]
-    pub fn with_batching(mut self, enabled: bool) -> Self {
-        self.batch = if enabled {
-            self.shadow.as_deref().map(BatchFloatShadow::from_shadow)
-        } else {
-            None
-        };
-        self
     }
 
     /// The configuration this handle runs under.
@@ -437,20 +404,13 @@ impl<'n> RegionChecker<'n> {
     ) -> Result<(RegionOutcome, BabStats), ShapeError> {
         assert!(label < self.net.outputs(), "label {label} out of range");
         validate_widths(self.net, x, region)?;
-        let screens = QueryScreens::new(
-            x,
-            label,
-            self.shadow.as_deref(),
-            self.zonotope.as_deref(),
-            self.batch.as_ref(),
-        );
+        let screens = QueryScreens::new(x, label, self.shadow.as_deref(), self.zonotope.as_deref());
         let ctx = QueryContext {
             net: self.net,
             x,
             label,
             excluded,
             cascade: screens.cascade().with_timer(timer),
-            batch: screens.batch.as_ref(),
         };
         let (outcome, stats) = fannet_search::search_serial(&ctx, region.clone(), None);
         let outcome = match outcome {
@@ -484,22 +444,13 @@ impl<'n> RegionChecker<'n> {
         assert!(cap > 0, "cap must be positive");
         validate_widths(self.net, x, region)?;
         let excluded = ExclusionSet::new();
-        // The collector walks boxes one at a time (no frontier to
-        // gather), so it never builds a batched screen.
-        let screens = QueryScreens::new(
-            x,
-            label,
-            self.shadow.as_deref(),
-            self.zonotope.as_deref(),
-            None,
-        );
+        let screens = QueryScreens::new(x, label, self.shadow.as_deref(), self.zonotope.as_deref());
         let ctx = QueryContext {
             net: self.net,
             x,
             label,
             excluded: &excluded,
             cascade: screens.cascade(),
-            batch: None,
         };
         // With an empty exclusion set the uniform witness is the box's
         // first grid point; the remaining points all misclassify too
@@ -526,7 +477,7 @@ impl<'n> RegionChecker<'n> {
             true
         };
         let (found, exhausted, stats) =
-            fannet_search::collect_witnesses(&ctx, region.clone(), cap, expand);
+            fannet_search::collect_witnesses(&ctx, region.clone(), cap, None, expand);
         Ok((found, exhausted, stats))
     }
 }
@@ -708,22 +659,11 @@ impl Classifier<NoiseRegion> for ZonotopeScreen<'_> {
     }
 }
 
-/// The batched float screen of one query: the per-network batch shadow
-/// plus the same per-query input enclosure the scalar
-/// [`IntervalScreen`] uses, so batched verdicts are bit-identical to
-/// tier 0's.
-struct BatchScreen<'a> {
-    shadow: &'a BatchFloatShadow,
-    x: Vec<FloatInterval>,
-    label: usize,
-}
-
 /// The per-query screen owners; [`QueryScreens::cascade`] borrows them
 /// into the [`Cascade`] the domain consults per box.
 struct QueryScreens<'a> {
     interval: Option<IntervalScreen<'a>>,
     zonotope: Option<ZonotopeScreen<'a>>,
-    batch: Option<BatchScreen<'a>>,
 }
 
 impl<'a> QueryScreens<'a> {
@@ -732,7 +672,6 @@ impl<'a> QueryScreens<'a> {
         label: usize,
         shadow: Option<&'a FloatShadow>,
         zonotope: Option<&'a ZonotopeShadow>,
-        batch: Option<&'a BatchFloatShadow>,
     ) -> Self {
         QueryScreens {
             interval: shadow.map(|shadow| IntervalScreen {
@@ -745,17 +684,6 @@ impl<'a> QueryScreens<'a> {
                 x: ZonotopeShadow::enclose_input(x),
                 label,
             }),
-            // The batched screen is only sound as a *tier-0 substitute*:
-            // it replays the interval tier bit for bit, so it is built
-            // only when the interval screen is (tier 0 of the cascade).
-            batch: match shadow {
-                Some(_) => batch.map(|shadow| BatchScreen {
-                    shadow,
-                    x: FloatShadow::enclose_input(x),
-                    label,
-                }),
-                None => None,
-            },
         }
     }
 
@@ -778,80 +706,14 @@ struct QueryContext<'a> {
     label: usize,
     excluded: &'a ExclusionSet,
     cascade: Cascade<'a, NoiseRegion>,
-    /// Batched tier-0 substitute ([`BatchScreen`]); `None` when the
-    /// interval tier is inactive, batching is disabled, or the caller
-    /// (the witness collector) does not batch.
-    batch: Option<&'a BatchScreen<'a>>,
-}
-
-/// Per-search reusable buffers of the input-noise domain: the exact
-/// tier's activation workspace plus the batched screen's lane buffers.
-#[derive(Default)]
-struct QueryScratch {
-    exact: PropagationWorkspace,
-    batch: BatchWorkspace,
 }
 
 impl SearchDomain for QueryContext<'_> {
     type Region = NoiseRegion;
     type Witness = exact::Counterexample;
-    type Prepared = BoxVerdict;
-    type Scratch = QueryScratch;
+    /// The exact tier's activation buffers (unscreened searches only).
+    type Scratch = PropagationWorkspace;
 
-    fn batch_width(&self) -> usize {
-        if self.batch.is_some() {
-            BATCH_WIDTH
-        } else {
-            1
-        }
-    }
-
-    /// Screens a whole frontier batch through the lane-parallel float
-    /// tier. Only `interval_ns` accumulates here; every counter is
-    /// booked when each box is actually visited
-    /// ([`Cascade::classify_with_first`]), keeping stats bit-identical
-    /// to the scalar path.
-    fn prepare_batch(
-        &self,
-        regions: &[&NoiseRegion],
-        scratch: &mut QueryScratch,
-        stats: &mut BabStats,
-    ) -> Vec<BoxVerdict> {
-        let Some(batch) = self.batch else {
-            return Vec::new();
-        };
-        let (verdicts, ns) = self.cascade.timer().time(|| {
-            batch
-                .shadow
-                .classify_batch(&batch.x, batch.label, regions, &mut scratch.batch)
-        });
-        stats.interval_ns = stats.interval_ns.saturating_add(ns);
-        verdicts
-    }
-
-    fn decide(
-        &self,
-        current: &NoiseRegion,
-        depth: u32,
-        scratch: &mut QueryScratch,
-        stats: &mut BabStats,
-    ) -> BoxDecision<NoiseRegion, exact::Counterexample> {
-        self.decide_inner(current, depth, scratch, stats, None)
-    }
-
-    fn decide_prepared(
-        &self,
-        current: &NoiseRegion,
-        prepared: Option<BoxVerdict>,
-        depth: u32,
-        scratch: &mut QueryScratch,
-        stats: &mut BabStats,
-    ) -> BoxDecision<NoiseRegion, exact::Counterexample> {
-        self.decide_inner(current, depth, scratch, stats, prepared)
-    }
-}
-
-impl QueryContext<'_> {
     /// Classifies one box through the active tiers, updating `stats`.
     ///
     /// In a screened search a box counts as a `screen_hit` when some
@@ -861,25 +723,15 @@ impl QueryContext<'_> {
     /// exact_evals`. `interval_*`/`zonotope_*` additionally record which
     /// tier classified each screened box. Widths were validated at query
     /// entry, so propagation cannot fail.
-    ///
-    /// `first` carries a batched tier-0 verdict when this box's float
-    /// screening already ran in a [`QueryContext::prepare_batch`] pass;
-    /// the lanes replay the scalar tier bit for bit, so consuming it via
-    /// [`Cascade::classify_with_first`] books identical counters and
-    /// reaches identical decisions.
-    fn decide_inner(
+    fn decide(
         &self,
         current: &NoiseRegion,
         _depth: u32,
-        scratch: &mut QueryScratch,
+        scratch: &mut PropagationWorkspace,
         stats: &mut BabStats,
-        first: Option<BoxVerdict>,
     ) -> BoxDecision<NoiseRegion, exact::Counterexample> {
         // Screening tiers, cheapest first (sound by over-approximation).
-        let mut verdict = match first {
-            Some(first) => self.cascade.classify_with_first(current, first, stats),
-            None => self.cascade.classify(current, stats),
-        };
+        let mut verdict = self.cascade.classify(current, stats);
         let screened = !self.cascade.is_empty();
         // Exact rational work below shares the cascade's timer so traced
         // queries attribute every tier's cost, untraced ones pay nothing.
@@ -925,9 +777,8 @@ impl QueryContext<'_> {
             }
         } else {
             let (exact_verdict, ns) = timer.time(|| {
-                let enclosure =
-                    output_intervals_with(self.net, self.x, current, &mut scratch.exact)
-                        .expect("widths validated at query entry");
+                let enclosure = output_intervals_with(self.net, self.x, current, scratch)
+                    .expect("widths validated at query entry");
                 classify_box(enclosure, self.label)
             });
             stats.exact_ns = stats.exact_ns.saturating_add(ns);
@@ -1104,53 +955,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn batched_screening_is_bit_identical_to_scalar() {
-        let net = relu_net();
-        for x in [[r(9), r(8)], [r(30), r(29)], [r(12), r(5)], [r(-3), r(4)]] {
-            let label = net.classify(&x).unwrap();
-            for config in [CheckerConfig::screened(), CheckerConfig::cascade()] {
-                let batched = RegionChecker::new(&net, config.clone());
-                let scalar = RegionChecker::new(&net, config.clone()).with_batching(false);
-                for delta in [0, 3, 6, 10] {
-                    let region = NoiseRegion::symmetric(delta, 2);
-                    let (out_b, stats_b) = batched
-                        .check_region(&x, label, &region, &ExclusionSet::new())
-                        .unwrap();
-                    let (out_s, stats_s) = scalar
-                        .check_region(&x, label, &region, &ExclusionSet::new())
-                        .unwrap();
-                    assert_eq!(
-                        out_b.counterexample().map(|c| &c.noise),
-                        out_s.counterexample().map(|c| &c.noise),
-                        "witness identity at x={x:?} delta={delta} config={config:?}"
-                    );
-                    assert_eq!(out_b.is_robust(), out_s.is_robust());
-                    assert_eq!(
-                        stats_b, stats_s,
-                        "stats identity at x={x:?} delta={delta} config={config:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batching_requires_the_interval_tier() {
-        let net = relu_net();
-        // No float shadow → nothing to batch; the toggle is a no-op.
-        let checker = RegionChecker::new(&net, CheckerConfig::serial_exact()).with_batching(true);
-        let (out, _) = checker
-            .check_region(
-                &[r(9), r(8)],
-                net.classify(&[r(9), r(8)]).unwrap(),
-                &NoiseRegion::symmetric(3, 2),
-                &ExclusionSet::new(),
-            )
-            .unwrap();
-        assert!(out.counterexample().is_some() || out.is_robust());
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //!   networks over a noise box.
 //! * [`zonotope`] — sound affine-form (zonotope) abstract interpretation,
 //!   the middle screening tier that classifies on output *differences*.
-//! * [`batch`] — batched float screening: K frontier boxes per weight
-//!   pass, bit-identical to the scalar shadow (DESIGN.md §16).
 //! * [`exact`] — ground-truth rational evaluation and counterexample
 //!   records.
 //! * [`bab`] — branch-and-bound: sound *and complete* over the integer
@@ -42,7 +40,6 @@
 //! ```
 
 pub mod bab;
-pub mod batch;
 pub mod enumerate;
 pub mod exact;
 pub mod noise;
@@ -51,7 +48,6 @@ pub mod region;
 pub mod zonotope;
 
 pub use bab::{BabStats, CheckerConfig, RegionChecker, RegionOutcome, ScreeningTier};
-pub use batch::{BatchFloatShadow, BatchWorkspace, BATCH_WIDTH};
 pub use exact::Counterexample;
 // Re-exported so cost-attribution callers (`check_region_timed`) need
 // not depend on `fannet-search` directly.

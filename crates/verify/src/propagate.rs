@@ -198,16 +198,16 @@ pub fn classify_box(outputs: &[Interval], label: usize) -> BoxVerdict {
 /// [`classify_box_float`]).
 #[derive(Debug, Clone)]
 pub struct FloatShadow {
-    pub(crate) layers: Vec<FloatShadowLayer>,
-    pub(crate) inputs: usize,
+    layers: Vec<FloatShadowLayer>,
+    inputs: usize,
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct FloatShadowLayer {
+struct FloatShadowLayer {
     /// `weights[r][c]` encloses the exact weight of output `r`, input `c`.
-    pub(crate) weights: Vec<Vec<FloatInterval>>,
-    pub(crate) biases: Vec<FloatInterval>,
-    pub(crate) activation: Activation,
+    weights: Vec<Vec<FloatInterval>>,
+    biases: Vec<FloatInterval>,
+    activation: Activation,
 }
 
 impl FloatShadow {

@@ -150,30 +150,6 @@ impl ZonotopeShadow {
         }
         acts
     }
-
-    /// [`ZonotopeShadow::output_forms`] over a batch of boxes, one form
-    /// vector per region, in order.
-    ///
-    /// Unlike the float tier, the zonotope tier has no lane-parallel
-    /// form: each neuron's [`AffineForm`] carries a *variable-length*
-    /// symbol vector (fresh symbols are allocated per unstable `ReLU`,
-    /// and which neurons are unstable differs per box), so boxes cannot
-    /// share a contiguous lane layout. The batch entry point simply
-    /// amortizes the per-box call overhead and pins down bitwise
-    /// identity with the scalar path; the cascade's batched screening
-    /// therefore lives in the float tier, with the zonotope tier running
-    /// per box on whatever the float lanes could not decide.
-    #[must_use]
-    pub fn output_forms_batch(
-        &self,
-        x_enclosure: &[(f64, f64)],
-        regions: &[&NoiseRegion],
-    ) -> Vec<Vec<AffineForm>> {
-        regions
-            .iter()
-            .map(|region| self.output_forms(x_enclosure, region))
-            .collect()
-    }
 }
 
 /// The affine form of input node `k` under relative noise `p ∈ [lo, hi]`

@@ -398,113 +398,6 @@ proptest! {
         }
     }
 
-    /// Batched propagation lemma (DESIGN.md §16): on random networks and
-    /// random asymmetric regions, every lane of a K-wide batched pass is
-    /// **bitwise** equal to the scalar float shadow on that box — both
-    /// the output enclosures and the derived verdicts — for K ∈
-    /// {1, 2, 7, 64} (singleton, tiny, odd, beyond `BATCH_WIDTH`), with
-    /// the workspace reused across batches.
-    #[test]
-    fn batched_propagation_bitwise_equals_the_scalar_shadow(
-        seed in 0u64..300,
-        x0 in -30i64..30,
-        x1 in -30i64..30,
-        lo0 in -6i64..=0, hi0 in 0i64..=6,
-        lo1 in -6i64..=0, hi1 in 0i64..=6,
-    ) {
-        use fannet::verify::batch::{BatchFloatShadow, BatchWorkspace};
-        use fannet::verify::propagate::{classify_box_float, FloatShadow};
-        let net = random_exact_net(seed);
-        let shadow = FloatShadow::new(&net);
-        let batch = BatchFloatShadow::from_shadow(&shadow);
-        let x = [
-            Rational::from_integer(i128::from(x0)),
-            Rational::from_integer(i128::from(x1)),
-        ];
-        let xf = FloatShadow::enclose_input(&x);
-        let label = net.classify(&x).expect("width");
-        // A deterministic pool of distinct sub-boxes: the base region's
-        // split frontier, refined until it can seed the widest batch.
-        let mut pool = vec![NoiseRegion::new(vec![(lo0, hi0), (lo1, hi1)])];
-        let mut at = 0usize;
-        while pool.len() < 64 && at < 4096 {
-            let slot = at % pool.len();
-            let split = pool[slot].split();
-            if let Some((a, b)) = split {
-                pool[slot] = a;
-                pool.push(b);
-            }
-            at += 1; // point-only pools (lo = hi = 0) exit via the cap
-        }
-        let mut ws = BatchWorkspace::default();
-        for k in [1usize, 2, 7, 64] {
-            let regions: Vec<&NoiseRegion> =
-                (0..k).map(|i| &pool[i % pool.len()]).collect();
-            let outputs = batch.output_intervals_batch(&xf, &regions, &mut ws);
-            let verdicts = batch.classify_batch(&xf, label, &regions, &mut ws);
-            for (lane, region) in regions.iter().enumerate() {
-                let scalar = shadow.output_intervals(&xf, region);
-                prop_assert_eq!(outputs[lane].len(), scalar.len());
-                for (b, s) in outputs[lane].iter().zip(&scalar) {
-                    prop_assert_eq!(
-                        (b.lo().to_bits(), b.hi().to_bits()),
-                        (s.lo().to_bits(), s.hi().to_bits()),
-                        "lane {} of K={} diverges from the scalar shadow \
-                         (net seed {}, x {:?})",
-                        lane, k, seed, &x
-                    );
-                }
-                prop_assert_eq!(
-                    verdicts[lane],
-                    classify_box_float(&scalar, label),
-                    "verdict of lane {} of K={} diverges (net seed {})",
-                    lane, k, seed
-                );
-            }
-        }
-    }
-
-    /// End-to-end batching identity: the batched cascade (default) and
-    /// the scalar cascade (`with_batching(false)`) return bit-identical
-    /// verdicts, witnesses and search counters on random networks.
-    #[test]
-    fn batched_checker_bit_identical_to_scalar_on_random_nets(
-        seed in 0u64..300,
-        x0 in -30i64..30,
-        x1 in -30i64..30,
-        delta in 0i64..6,
-    ) {
-        use fannet::verify::bab::RegionChecker;
-        let net = random_exact_net(seed);
-        let x = [
-            Rational::from_integer(i128::from(x0)),
-            Rational::from_integer(i128::from(x1)),
-        ];
-        let label = net.classify(&x).expect("width");
-        let region = NoiseRegion::symmetric(delta, 2);
-        for config in [CheckerConfig::screened(), CheckerConfig::cascade()] {
-            let batched = RegionChecker::new(&net, config.clone());
-            let scalar = RegionChecker::new(&net, config.clone()).with_batching(false);
-            let (out_b, stats_b) = batched
-                .check_region(&x, label, &region, &ExclusionSet::new())
-                .expect("widths");
-            let (out_s, stats_s) = scalar
-                .check_region(&x, label, &region, &ExclusionSet::new())
-                .expect("widths");
-            prop_assert_eq!(out_b.is_robust(), out_s.is_robust());
-            prop_assert_eq!(
-                out_b.counterexample().map(|c| c.noise.clone()),
-                out_s.counterexample().map(|c| c.noise.clone()),
-                "witness identity under {:?} (net seed {})", config, seed
-            );
-            prop_assert_eq!(
-                stats_b, stats_s,
-                "counter identity under {:?} (net seed {})", config, seed
-            );
-            fallbacks_are_splits_or_point_evals(&stats_b, &config)?;
-        }
-    }
-
     /// ScreeningTier settings are pure routing: on random asymmetric
     /// regions every tier's verdict and witness equal the serial-exact
     /// baseline's (the box-level guarantee behind the acceptance
