@@ -189,9 +189,8 @@ struct FaultAblationRow {
 }
 
 /// One arm of the joint ablation: the generic `fannet-search` core on
-/// the joint input×weight workload, plus the δ = 0 anchor rows where
-/// the product domain must reproduce the single-factor fault checker's
-/// verdict *and* search shape exactly.
+/// the joint input×weight workload. At δ = 0 the rows are fault checks
+/// (the fault checker is the joint check at the zero noise box).
 #[derive(Serialize)]
 struct JointAblationRow {
     variant: &'static str,
@@ -453,12 +452,11 @@ fn fault_ablation_rows(eps_numers: &[i64]) -> Vec<FaultAblationRow> {
 ///
 /// * the arms never return contradictory *proofs* (Unknown is legal for
 ///   the incomplete search, exactly as in the fault ablation);
-/// * at δ = 0 the joint cascade arm reproduces the single-factor fault
-///   checker **exactly** — same verdict, same number of explored boxes
-///   — because a point noise factor makes the product domain's split
-///   sequence collapse to the fault domain's. This is the live
-///   generic-core-vs-instantiation equivalence check (the timing
-///   trajectory against pre-refactor runs lives in `fault_ablation`).
+/// * at δ = 0 the joint cascade arm and the fault checker give the same
+///   verdict and the same number of explored boxes. The fault checker
+///   *is* the joint check at the zero noise box, so this checks the
+///   wiring, not two searches against each other (the timing trajectory
+///   against earlier runs lives in `fault_ablation`).
 fn joint_ablation_rows() -> Vec<JointAblationRow> {
     use fannet_faults::{FaultModel, JointChecker};
     use fannet_verify::bab::ScreeningTier;
@@ -498,8 +496,8 @@ fn joint_ablation_rows() -> Vec<JointAblationRow> {
                 ),
             }
             if delta == 0 && *name == "cascade" {
-                // δ = 0 anchor: the product search must collapse to the
-                // fault checker's exact behaviour.
+                // δ = 0 wiring: `FaultChecker` delegates to this check
+                // at the zero noise box, so verdict and box count match.
                 let fault = FaultChecker::new(cs.exact_net.clone(), FaultCheckerConfig::default());
                 let (fault_outcome, fault_stats) = fault
                     .check(&inputs[idx], labels[idx], &model)

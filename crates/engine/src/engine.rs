@@ -11,8 +11,8 @@ use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 
 use fannet_faults::{
-    tolerance_search, FaultChecker, FaultCheckerConfig, FaultModel, FaultOutcome, FaultTolerance,
-    JointChecker, JointOutcome, JointTolerance, ToleranceSearch,
+    FaultCheckerConfig, FaultModel, FaultOutcome, FaultTolerance, JointChecker, JointTolerance,
+    ToleranceSearch,
 };
 use fannet_nn::fingerprint::{fingerprint, NetworkFingerprint};
 use fannet_nn::Network;
@@ -115,13 +115,14 @@ pub enum QueryKind {
         cap: usize,
     },
     /// Weight-fault robustness under `model` (DESIGN.md §11), bit-identical
-    /// to a cold [`FaultChecker`] with the default configuration.
+    /// to a cold [`fannet_faults::FaultChecker`] with the default
+    /// configuration.
     FaultCheck {
         /// The fault model to verify against.
         model: FaultModel,
     },
     /// Weight-noise fault tolerance on the ε grid `search`, bit-identical
-    /// to [`FaultChecker::tolerance`].
+    /// to [`fannet_faults::FaultChecker::tolerance`].
     FaultTolerance {
         /// The ε grid searched.
         search: ToleranceSearch,
@@ -167,7 +168,7 @@ pub enum Answer {
     FaultTolerance(FaultTolerance),
     /// [`QueryKind::JointCheck`]: the verdict (with joint witness, when
     /// vulnerable).
-    Joint(JointOutcome),
+    Joint(FaultOutcome),
     /// [`QueryKind::JointTolerance`]: the bisection result.
     JointTolerance(JointTolerance),
 }
@@ -290,7 +291,6 @@ impl Probes {
 /// The fault and joint verdict stores: exact-key LRUs keyed by the
 /// check query itself (see [`ExactLru`] for why reuse is exact-key only).
 type FaultCache = ExactLru<Query, FaultOutcome>;
-type JointCache = ExactLru<Query, JointOutcome>;
 
 /// A long-lived verification engine for one trained network.
 pub struct Engine {
@@ -303,16 +303,15 @@ pub struct Engine {
     /// Built once iff the zonotope tier is on; borrowed (never cloned)
     /// by per-query handles.
     zonotope: Option<ZonotopeShadow>,
-    /// The resident weight-fault checker (DESIGN.md §11); runs the
-    /// deterministic default [`FaultCheckerConfig`], so cold
-    /// `FaultChecker` runs reproduce engine answers bit for bit.
-    faults: FaultChecker,
-    /// The resident joint input×weight checker (DESIGN.md §12), on the
-    /// same default configuration.
+    /// The resident joint input×weight checker (DESIGN.md §12): it
+    /// answers joint checks, and fault checks at the zero noise box
+    /// (DESIGN.md §11). It runs the deterministic default
+    /// [`FaultCheckerConfig`], so cold `FaultChecker` and `JointChecker`
+    /// runs reproduce engine answers bit for bit.
     joint: JointChecker,
     region_cache: Mutex<Domain<VerdictCache>>,
     fault_cache: Mutex<Domain<FaultCache>>,
-    joint_cache: Mutex<Domain<JointCache>>,
+    joint_cache: Mutex<Domain<FaultCache>>,
 }
 
 impl fmt::Debug for Engine {
@@ -349,7 +348,6 @@ impl Engine {
             fingerprint: fingerprint(&net),
             shadow,
             zonotope,
-            faults: FaultChecker::new(net.clone(), FaultCheckerConfig::default()),
             joint: JointChecker::new(net.clone(), FaultCheckerConfig::default()),
             region_cache: Domain::new(VerdictCache::new(capacity)),
             fault_cache: Domain::new(ExactLru::new(capacity)),
@@ -441,7 +439,9 @@ impl Engine {
                 })
             }
             QueryKind::FaultCheck { model } => {
-                let (outcome, source, stats) = self.fault_check(query, model, timer)?;
+                let zero = NoiseRegion::symmetric(0, x.len());
+                let (outcome, source, stats) =
+                    self.product_check(&self.fault_cache, query, &zero, model, timer)?;
                 Ok(Reply {
                     answer: Answer::Fault(outcome),
                     source,
@@ -454,8 +454,9 @@ impl Engine {
                 // sequence is a pure function of the verdicts, which
                 // cached answers reproduce, so the result equals the cold
                 // search's and a warm repeat runs no checker at all.
+                let zero = NoiseRegion::symmetric(0, x.len());
                 let mut probes = Probes::default();
-                let tolerance = tolerance_search(search, |rel_eps| {
+                let tolerance = fannet_search::tolerance_search(search, |rel_eps| {
                     let model = FaultModel::WeightNoise { rel_eps };
                     let probe = Query {
                         input: query.input.clone(),
@@ -464,14 +465,16 @@ impl Engine {
                             model: model.clone(),
                         },
                     };
-                    let (outcome, source, stats) = self.fault_check(&probe, &model, timer)?;
+                    let (outcome, source, stats) =
+                        self.product_check(&self.fault_cache, &probe, &zero, &model, timer)?;
                     probes.add(source, &stats);
-                    Ok::<_, QueryError>(outcome)
+                    Ok::<_, QueryError>(outcome.is_robust())
                 })?;
                 Ok(probes.reply(Answer::FaultTolerance(tolerance)))
             }
             QueryKind::JointCheck { region, model } => {
-                let (outcome, source, stats) = self.joint_check(query, region, model, timer)?;
+                let (outcome, source, stats) =
+                    self.product_check(&self.joint_cache, query, region, model, timer)?;
                 Ok(Reply {
                     answer: Answer::Joint(outcome),
                     source,
@@ -493,7 +496,7 @@ impl Engine {
                         },
                     };
                     let (outcome, source, stats) =
-                        self.joint_check(&probe, &region, &model, timer)?;
+                        self.product_check(&self.joint_cache, &probe, &region, &model, timer)?;
                     probes.add(source, &stats);
                     Ok::<_, QueryError>(outcome.is_robust())
                 })?;
@@ -625,33 +628,19 @@ impl Engine {
         )
     }
 
-    fn fault_check(
+    /// The cache path of the joint checker. A fault check is the joint
+    /// check at the zero noise box, looked up in and stored to
+    /// `fault_cache`, so the `stats` op still counts the two ops apart.
+    fn product_check(
         &self,
-        key: &Query,
-        model: &FaultModel,
-        timer: TierTimer,
-    ) -> Result<(FaultOutcome, AnswerSource, SearchStats), QueryError> {
-        cached(
-            &self.fault_cache,
-            |cache| cache.lookup(key).map(|o| (o, AnswerSource::ExactHit)),
-            || {
-                Ok(self
-                    .faults
-                    .check_timed(&key.input, key.label, model, timer)?)
-            },
-            |cache, outcome| cache.insert(key.clone(), outcome),
-        )
-    }
-
-    fn joint_check(
-        &self,
+        domain: &Mutex<Domain<FaultCache>>,
         key: &Query,
         region: &NoiseRegion,
         model: &FaultModel,
         timer: TierTimer,
-    ) -> Result<(JointOutcome, AnswerSource, SearchStats), QueryError> {
+    ) -> Result<(FaultOutcome, AnswerSource, SearchStats), QueryError> {
         cached(
-            &self.joint_cache,
+            domain,
             |cache| cache.lookup(key).map(|o| (o, AnswerSource::ExactHit)),
             || {
                 Ok(self
@@ -717,6 +706,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fannet_faults::FaultChecker;
     use fannet_nn::{Activation, DenseLayer, Readout};
     use fannet_tensor::Matrix;
     use fannet_verify::bab;
@@ -1109,6 +1099,54 @@ mod tests {
                 misses_before,
                 "warm re-search must issue zero checker runs"
             );
+        }
+    }
+
+    #[test]
+    fn zero_delta_joint_check_answers_as_the_fault_check() {
+        let e = engine();
+        let stuck = FaultModel::StuckAt {
+            layer: 0,
+            neuron: 0,
+            value: Rational::ZERO,
+        };
+        let flip = FaultModel::BitFlips { budget: 1 };
+        let cases = [
+            ((100, 82), eps(2), "robust"),
+            ((100, 82), eps(20), "vulnerable"),
+            ((100, 82), stuck, "vulnerable"),
+            ((100, 82), flip.clone(), "vulnerable"),
+            (
+                (100, 82),
+                FaultModel::Quantization { denom_bits: 8 },
+                "robust",
+            ),
+            // Every single flip of (100, −100) at worst ties, and the
+            // lower-index rule keeps L0: the complete single-flip
+            // enumeration proves it at δ = 0 as in the fault check.
+            ((100, -100), flip, "robust"),
+        ];
+        for ((x0, x1), model, verdict) in cases {
+            let x = [r(x0), r(x1)];
+            let fault = QueryKind::FaultCheck {
+                model: model.clone(),
+            };
+            let joint = QueryKind::JointCheck {
+                region: NoiseRegion::symmetric(0, 2),
+                model: model.clone(),
+            };
+            let fault = ask(&e, &x, 0, fault).unwrap();
+            let joint = ask(&e, &x, 0, joint).unwrap();
+            let (Answer::Fault(f), Answer::Joint(j)) = (&fault.answer, &joint.answer) else {
+                panic!("not a fault and a joint answer: {fault:?} {joint:?}");
+            };
+            // Verdict, witness (noise vector included) and counters.
+            assert_eq!(
+                (j, joint.stats),
+                (f, fault.stats),
+                "{model} at ({x0}, {x1})"
+            );
+            assert_eq!(f.wire_name(), verdict, "{model} at ({x0}, {x1})");
         }
     }
 

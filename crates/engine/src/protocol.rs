@@ -74,9 +74,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use fannet_faults::{
-    FaultModel, FaultOutcome, FaultTolerance, JointOutcome, JointTolerance, ToleranceSearch,
-};
+use fannet_faults::{FaultModel, FaultOutcome, FaultTolerance, JointTolerance, ToleranceSearch};
 use fannet_numeric::Rational;
 use fannet_search::{SearchStats, TierTimer};
 use fannet_verify::bab::RegionOutcome;
@@ -371,7 +369,7 @@ pub enum Response {
         /// Echo of the request tag.
         id: Option<u64>,
         /// The verdict (with joint witness, when vulnerable).
-        outcome: JointOutcome,
+        outcome: FaultOutcome,
         /// Cache path that produced it.
         source: AnswerSource,
         /// Joint-checker counters of this answer (zero on cache hits).
@@ -773,7 +771,7 @@ impl Serialize for Response {
                     st.serialize_field("id", id)?;
                 }
                 st.serialize_field("verdict", outcome.wire_name())?;
-                if let JointOutcome::Vulnerable(witness) = outcome {
+                if let FaultOutcome::Vulnerable(witness) = outcome {
                     st.serialize_field("noise", witness.noise.percents())?;
                     st.serialize_field("fault", &witness.description)?;
                     st.serialize_field("predicted", &witness.predicted)?;

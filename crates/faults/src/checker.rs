@@ -1,13 +1,11 @@
-//! The fault checker: screening cascade, concrete fault probes, and the
-//! fault-space instantiation of the generic `fannet-search`
-//! branch-and-bound (DESIGN.md §11/§12), plus the fault-tolerance
-//! binary search.
+//! The fault checker: the product search of [`crate::joint`] at the zero
+//! noise box (DESIGN.md §11/§12), the concrete fault probes that search
+//! runs first, and the fault-tolerance binary search.
 //!
 //! ## Verdict semantics
 //!
 //! [`FaultChecker::check`] decides the property *"every faulted network
-//! of the model classifies `x` (under every noise vector of the input
-//! box) as `label`"*:
+//! of the model classifies `x` as `label`"*:
 //!
 //! * [`FaultOutcome::Robust`] — a proof: the interval-weight enclosure
 //!   (possibly after fault-space splitting) certifies every assignment
@@ -24,31 +22,30 @@
 //!   on: the fault space is continuous, so the procedure is sound but
 //!   deliberately incomplete.
 //!
-//! ## Branch-and-bound over the fault space
+//! ## One search
 //!
-//! Boxes are [`FaultRegion`]s; an undecided box splits its **widest
-//! parameter interval** at the midpoint ([`FaultRegion::split`]) — the
-//! dependency problem loses the most where a weight interval is widest,
-//! and halving it tightens every downstream product. The generic search
-//! runs depth-first, serial and fully deterministic (canonical split
-//! order, budgeted via [`fannet_search::search_serial`]), which is what
-//! lets `fannet-engine` replay cached verdicts bit-identically.
+//! A fault check is [`JointChecker::check`] at the zero noise box
+//! `NoiseRegion::symmetric(0, n)`: the same tiers, split rule and witness
+//! rule as a joint check. The noise factor of every product box is the
+//! zero point, so each split halves the fault factor's **widest
+//! parameter interval** ([`FaultRegion::split`]) — the dependency problem
+//! loses the most where a weight interval is widest, and halving it
+//! tightens every downstream product. At the zero box the joint check
+//! keeps two fault-only steps: the probes below, and the complete
+//! single-flip enumeration that decides `BitFlips { budget: 1 }`. The
+//! search is depth-first, serial and deterministic, which is what lets
+//! `fannet-engine` replay cached verdicts bit-identically.
 
 use fannet_nn::Network;
-use fannet_numeric::{FloatInterval, Interval, Rational};
-use fannet_search::{
-    BoxDecision, Cascade, Classifier, SearchDomain, SearchOutcome, TierKind, TierTimer,
-};
+use fannet_numeric::Rational;
+use fannet_search::TierTimer;
 use fannet_verify::bab::ScreeningTier;
 use fannet_verify::noise::NoiseVector;
 use fannet_verify::region::NoiseRegion;
 use serde::{Deserialize, Serialize};
 
+use crate::joint::JointChecker;
 use crate::model::FaultModel;
-use crate::propagate::{
-    classify_box, classify_box_float, classify_box_zonotope, enclose_input, enclose_input_float,
-    BoxVerdict,
-};
 use crate::region::{FaultRegion, FaultedNetwork};
 
 /// Search counters of one fault check (merged across probes of a
@@ -59,16 +56,16 @@ pub use fannet_search::SearchStats as FaultStats;
 pub use fannet_search::ToleranceResult as FaultTolerance;
 pub use fannet_search::ToleranceSearch;
 
-/// How a fault check runs: which screening tiers route each fault box,
-/// and how many boxes the fault-space branch-and-bound may explore.
+/// How a fault or joint check runs: which screening tiers route each
+/// box, and how many boxes the branch-and-bound may explore.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultCheckerConfig {
     /// Screening tiers, cheapest first (the exact interval tier always
     /// runs last on boxes no screen decides — there is no grid-point
     /// fallback below it).
     pub screening: ScreeningTier,
-    /// Box budget of the fault-space search; when it runs out the check
-    /// returns [`FaultOutcome::Unknown`] with `budget_exhausted` set.
+    /// Box budget of the search; when it runs out the check returns
+    /// [`FaultOutcome::Unknown`] with `budget_exhausted` set.
     pub max_boxes: u64,
     /// Maximum split depth per box chain. The fault space is continuous
     /// — without a grid floor a straddling decision boundary would be
@@ -113,14 +110,19 @@ impl Default for FaultCheckerConfig {
     }
 }
 
-/// A concrete, in-model misclassification witness.
+/// A concrete, in-model misclassification witness: one noise grid point
+/// plus one faulted network.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultWitness {
+    /// The witnessing noise vector (integer percents); the zero vector
+    /// for a plain fault check.
+    pub noise: NoiseVector,
     /// Human-readable description of the faulted assignment (full
     /// parameter vectors are not serialized; the checker is
     /// deterministic, so re-running the query reproduces them).
     pub description: String,
-    /// Exact output activations of the faulted network.
+    /// Exact output activations of the faulted network on the noisy
+    /// input.
     pub outputs: Vec<Rational>,
     /// The (wrong) label the faulted network predicted.
     pub predicted: usize,
@@ -128,12 +130,13 @@ pub struct FaultWitness {
     pub expected: usize,
 }
 
-/// Outcome of a fault check.
+/// Outcome of a fault or joint check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultOutcome {
-    /// Proof: every faulted network of the model keeps the label.
+    /// Proof: every (noise vector, faulted network) pair of the claim
+    /// keeps the label.
     Robust,
-    /// Proof by witness: a concrete in-model faulted network flips it.
+    /// Proof by witness: a concrete in-model pair flips it.
     Vulnerable(FaultWitness),
     /// The budgeted search could not decide (sound in both directions).
     Unknown,
@@ -166,11 +169,11 @@ impl FaultOutcome {
     }
 }
 
-/// A resident fault checker for one trained network.
+/// A resident fault checker for one trained network: a
+/// [`JointChecker`] whose every query has the zero noise box.
 #[derive(Debug, Clone)]
 pub struct FaultChecker {
-    net: Network<Rational>,
-    config: FaultCheckerConfig,
+    joint: JointChecker,
 }
 
 impl FaultChecker {
@@ -181,19 +184,21 @@ impl FaultChecker {
     /// crashing at startup.
     #[must_use]
     pub fn new(net: Network<Rational>, config: FaultCheckerConfig) -> Self {
-        FaultChecker { net, config }
+        FaultChecker {
+            joint: JointChecker::new(net, config),
+        }
     }
 
     /// The verified network.
     #[must_use]
     pub fn network(&self) -> &Network<Rational> {
-        &self.net
+        self.joint.network()
     }
 
     /// The checker's configuration.
     #[must_use]
     pub fn config(&self) -> &FaultCheckerConfig {
-        &self.config
+        self.joint.config()
     }
 
     /// Checks classification robustness of `x` under `model` with a
@@ -209,7 +214,7 @@ impl FaultChecker {
         label: usize,
         model: &FaultModel,
     ) -> Result<(FaultOutcome, FaultStats), String> {
-        self.check_with_noise(x, label, &NoiseRegion::symmetric(0, x.len()), model)
+        self.check_timed(x, label, model, TierTimer::disabled())
     }
 
     /// [`FaultChecker::check`] with an explicit [`TierTimer`]: an
@@ -228,79 +233,8 @@ impl FaultChecker {
         model: &FaultModel,
         timer: TierTimer,
     ) -> Result<(FaultOutcome, FaultStats), String> {
-        self.check_with_noise_timed(x, label, &NoiseRegion::symmetric(0, x.len()), model, timer)
-    }
-
-    /// [`FaultChecker::check`] over a boxed input: the property
-    /// quantifies over every noise vector of `noise` **and** every
-    /// faulted network of `model` simultaneously. (The noise box itself
-    /// is never split here — see `crate::joint` for the product-domain
-    /// search that refines both factors.)
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on width mismatch, out-of-range label, or an
-    /// out-of-domain model.
-    pub fn check_with_noise(
-        &self,
-        x: &[Rational],
-        label: usize,
-        noise: &NoiseRegion,
-        model: &FaultModel,
-    ) -> Result<(FaultOutcome, FaultStats), String> {
-        self.check_with_noise_timed(x, label, noise, model, TierTimer::disabled())
-    }
-
-    /// [`FaultChecker::check_with_noise`] with an explicit
-    /// [`TierTimer`] (see [`FaultChecker::check_timed`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on width mismatch, out-of-range label, or an
-    /// out-of-domain model.
-    pub fn check_with_noise_timed(
-        &self,
-        x: &[Rational],
-        label: usize,
-        noise: &NoiseRegion,
-        model: &FaultModel,
-        timer: TierTimer,
-    ) -> Result<(FaultOutcome, FaultStats), String> {
-        validate_query(&self.net, x, label, noise)?;
-        let root = FaultRegion::lift(&self.net, model)?;
-        let mut stats = FaultStats::default();
-
-        // Concrete probes: cheap Vulnerable detection with in-model
-        // assignments. Probes evaluate at the plain input, so they apply
-        // only when the zero-noise vector is part of the claim.
-        if noise.contains(&NoiseVector::zero(x.len())) {
-            if let Some(witness) = probe_concrete(&self.net, x, label, model, &root, &mut stats)? {
-                return Ok((FaultOutcome::Vulnerable(witness), stats));
-            }
-        }
-
-        // `BitFlips { budget: 1 }` on a point input box is decided
-        // completely by the probe enumeration above: every legal faulted
-        // network was evaluated.
-        if let FaultModel::BitFlips { budget: 1 } = model {
-            if noise.is_point() && noise.contains(&NoiseVector::zero(x.len())) {
-                return Ok((FaultOutcome::Robust, stats));
-            }
-        }
-
-        let tiers = FaultTiers::new(&self.net, x, label, noise, self.config.screening);
-        let domain = FaultQuery {
-            x,
-            label,
-            noise,
-            lift_is_exact: lift_is_exact(model),
-            max_depth: self.config.max_depth,
-            cascade: tiers.cascade().with_timer(timer),
-        };
-        let (outcome, search_stats) =
-            fannet_search::search_serial(&domain, root, Some(self.config.max_boxes));
-        stats.merge(&search_stats);
-        Ok((fault_outcome(outcome), stats))
+        let zero = NoiseRegion::symmetric(0, x.len());
+        self.joint.check_timed(x, label, &zero, model, timer)
     }
 
     /// Fault tolerance of one input under relative weight noise: the
@@ -346,23 +280,7 @@ impl FaultChecker {
         search: &ToleranceSearch,
         timer: TierTimer,
     ) -> Result<(FaultTolerance, FaultStats), String> {
-        let mut stats = FaultStats::default();
-        let tolerance = tolerance_search(search, |eps| {
-            let (outcome, probe_stats) =
-                self.check_timed(x, label, &FaultModel::WeightNoise { rel_eps: eps }, timer)?;
-            stats.merge(&probe_stats);
-            Ok::<_, String>(outcome)
-        })?;
-        Ok((tolerance, stats))
-    }
-}
-
-/// Maps a generic search outcome to the fault verdict.
-pub(crate) fn fault_outcome(outcome: SearchOutcome<FaultWitness>) -> FaultOutcome {
-    match outcome {
-        SearchOutcome::Proven => FaultOutcome::Robust,
-        SearchOutcome::Witness(w) => FaultOutcome::Vulnerable(w),
-        SearchOutcome::Undecided => FaultOutcome::Unknown,
+        self.joint.tolerance_timed(x, label, 0, search, timer)
     }
 }
 
@@ -375,7 +293,7 @@ pub(crate) fn lift_is_exact(model: &FaultModel) -> bool {
     )
 }
 
-/// Shared query validation (width/label), also used by the joint checker.
+/// Query validation (input width, noise-region width, label range).
 pub(crate) fn validate_query(
     net: &Network<Rational>,
     x: &[Rational],
@@ -406,7 +324,7 @@ pub(crate) fn validate_query(
 }
 
 // ---------------------------------------------------------------------------
-// Concrete probes (shared with the joint checker)
+// Concrete probes at the zero noise vector
 // ---------------------------------------------------------------------------
 
 /// Deterministic concrete probes, in order: the fault-free identity
@@ -433,6 +351,7 @@ pub(crate) fn probe_concrete(
             Ok(None)
         } else {
             Ok(Some(FaultWitness {
+                noise: NoiseVector::zero(x.len()),
                 description: description(),
                 outputs,
                 predicted,
@@ -560,6 +479,7 @@ fn probe_single_flips(
                     if predicted != label {
                         let kind_name = if kind == 0 { "weight" } else { "bias" };
                         return Ok(Some(FaultWitness {
+                            noise: NoiseVector::zero(x.len()),
                             description: format!(
                                 "{flip_name} flip of layer {layer} {kind_name} [{index}]: \
                                  {original} -> {flipped}"
@@ -599,223 +519,6 @@ fn adversarial_corner(root: &FaultRegion, label: usize, rival: usize) -> Faulted
     faulted.set_bias(last, label, layer.biases[label].lo());
     faulted.set_bias(last, rival, layer.biases[rival].hi());
     faulted
-}
-
-// ---------------------------------------------------------------------------
-// The fault-space search domain
-// ---------------------------------------------------------------------------
-
-/// The float-interval screening tier of one fault query.
-pub(crate) struct FaultIntervalScreen {
-    x: Vec<FloatInterval>,
-    label: usize,
-}
-
-impl Classifier<FaultRegion> for FaultIntervalScreen {
-    fn tier(&self) -> TierKind {
-        TierKind::Interval
-    }
-    fn classify(&self, region: &FaultRegion) -> BoxVerdict {
-        classify_box_float(&region.float_outputs(&self.x), self.label)
-    }
-}
-
-/// The zonotope screening tier of one fault query (one shared symbol
-/// per faulted parameter, so correlated faults cancel in output
-/// differences).
-pub(crate) struct FaultZonotopeScreen<'a> {
-    x: &'a [Rational],
-    noise: &'a NoiseRegion,
-    label: usize,
-}
-
-impl Classifier<FaultRegion> for FaultZonotopeScreen<'_> {
-    fn tier(&self) -> TierKind {
-        TierKind::Zonotope
-    }
-    fn classify(&self, region: &FaultRegion) -> BoxVerdict {
-        classify_box_zonotope(&region.zonotope_outputs(self.x, self.noise), self.label)
-    }
-}
-
-/// The exact interval tier — always last; unlike the input-noise domain
-/// there is no grid-point fallback below it.
-pub(crate) struct FaultExactTier {
-    x: Vec<Interval>,
-    label: usize,
-}
-
-impl Classifier<FaultRegion> for FaultExactTier {
-    fn tier(&self) -> TierKind {
-        TierKind::Exact
-    }
-    fn classify(&self, region: &FaultRegion) -> BoxVerdict {
-        classify_box(&region.output_intervals(&self.x), self.label)
-    }
-}
-
-/// Per-query owners of the fault cascade's tiers; the interval and
-/// exact tiers precompute their input enclosures once per query.
-pub(crate) struct FaultTiers<'a> {
-    interval: Option<FaultIntervalScreen>,
-    zonotope: Option<FaultZonotopeScreen<'a>>,
-    exact: FaultExactTier,
-}
-
-impl<'a> FaultTiers<'a> {
-    pub(crate) fn new(
-        net: &Network<Rational>,
-        x: &'a [Rational],
-        label: usize,
-        noise: &'a NoiseRegion,
-        screening: ScreeningTier,
-    ) -> Self {
-        debug_assert_eq!(net.inputs(), x.len());
-        FaultTiers {
-            interval: screening.uses_interval().then(|| FaultIntervalScreen {
-                x: enclose_input_float(x, noise),
-                label,
-            }),
-            zonotope: screening
-                .uses_zonotope()
-                .then_some(FaultZonotopeScreen { x, noise, label }),
-            exact: FaultExactTier {
-                x: enclose_input(x, noise),
-                label,
-            },
-        }
-    }
-
-    pub(crate) fn cascade(&self) -> Cascade<'_, FaultRegion> {
-        let mut tiers: Vec<&dyn Classifier<FaultRegion>> = Vec::new();
-        if let Some(screen) = &self.interval {
-            tiers.push(screen);
-        }
-        if let Some(screen) = &self.zonotope {
-            tiers.push(screen);
-        }
-        tiers.push(&self.exact);
-        Cascade::new(tiers)
-    }
-}
-
-/// The fault-space instantiation of [`SearchDomain`].
-struct FaultQuery<'a> {
-    x: &'a [Rational],
-    label: usize,
-    noise: &'a NoiseRegion,
-    /// The lift equals the model set for the continuous models, so any
-    /// point of any sub-box is a legal faulted network.
-    lift_is_exact: bool,
-    max_depth: u32,
-    cascade: Cascade<'a, FaultRegion>,
-}
-
-impl SearchDomain for FaultQuery<'_> {
-    type Region = FaultRegion;
-    type Witness = FaultWitness;
-    type Scratch = ();
-
-    fn decide(
-        &self,
-        region: &FaultRegion,
-        depth: u32,
-        _scratch: &mut (),
-        stats: &mut FaultStats,
-    ) -> BoxDecision<FaultRegion, FaultWitness> {
-        match self.cascade.classify(region, stats) {
-            BoxVerdict::AlwaysCorrect => {
-                stats.pruned_correct += 1;
-                BoxDecision::Pruned
-            }
-            BoxVerdict::AlwaysWrong => {
-                if self.lift_is_exact || region.is_point() {
-                    stats.proved_wrong += 1;
-                    // Every assignment of the box misclassifies under
-                    // every noise vector; the midpoint (legal — the
-                    // box is entirely in-model) evaluated at the
-                    // region's first grid point is a concrete witness.
-                    let faulted = region.midpoint();
-                    let nv = self
-                        .noise
-                        .iter_points()
-                        .next()
-                        .expect("noise regions are non-empty");
-                    stats.concrete_evals += 1;
-                    let outputs = faulted
-                        .forward(&nv.apply(self.x))
-                        .expect("widths validated at query entry");
-                    let predicted =
-                        fannet_tensor::vector::argmax(&outputs).expect("outputs non-empty");
-                    assert_ne!(
-                        predicted, self.label,
-                        "interval proof of misclassification is sound"
-                    );
-                    return BoxDecision::UniformWitness(FaultWitness {
-                        description: format!(
-                            "fault-space box proven uniformly misclassifying \
-                             (midpoint assignment, noise {nv})"
-                        ),
-                        outputs,
-                        predicted,
-                        expected: self.label,
-                    });
-                }
-                // Combinatorial lift (`BitFlips`): the box may contain
-                // no legal assignment, so a uniformly-wrong box proves
-                // nothing and refining it cannot help — Robust is off
-                // the table, Vulnerable needs a concrete witness the
-                // probes did not find. The outcome is pinned to
-                // Unknown; stop instead of burning the box budget.
-                BoxDecision::AbandonAll
-            }
-            BoxVerdict::Unknown => {
-                if depth >= self.max_depth {
-                    // Abandon, don't refine: the boundary may be
-                    // bisected forever (continuous fault space). For
-                    // a combinatorial lift nothing can rescue the
-                    // outcome (no box ever yields Vulnerable), so
-                    // stop; continuous models keep exploring — a
-                    // sibling box may still prove AlwaysWrong.
-                    return if self.lift_is_exact {
-                        BoxDecision::Abandon
-                    } else {
-                        BoxDecision::AbandonAll
-                    };
-                }
-                match region.split() {
-                    Some((a, b)) => {
-                        stats.splits += 1;
-                        BoxDecision::Split(a, b)
-                    }
-                    // A point fault box undecided by the exact tier:
-                    // the input box is too wide for interval
-                    // propagation and there is no fault interval left
-                    // to refine.
-                    None => BoxDecision::Abandon,
-                }
-            }
-        }
-    }
-}
-
-/// The fault-tolerance bisection with the historical probe signature
-/// (verdict-valued), delegating to the generic
-/// [`fannet_search::tolerance_search`]: `Unknown` probes count as
-/// failures, so the result is a certified lower bound.
-///
-/// # Errors
-///
-/// Propagates the first probe error.
-///
-/// # Panics
-///
-/// Panics if the search grid is invalid (`denom <= 0`, `max_numer < 0`).
-pub fn tolerance_search<E>(
-    search: &ToleranceSearch,
-    mut probe: impl FnMut(Rational) -> Result<FaultOutcome, E>,
-) -> Result<FaultTolerance, E> {
-    fannet_search::tolerance_search(search, |eps| Ok(probe(eps)?.is_robust()))
 }
 
 #[cfg(test)]
@@ -1187,31 +890,6 @@ mod tests {
             .check(&[r(1), r(2)], 7, &model)
             .unwrap_err()
             .contains("out of range"));
-        assert!(c
-            .check_with_noise(&[r(1), r(2)], 0, &NoiseRegion::symmetric(1, 3), &model)
-            .unwrap_err()
-            .contains("3 nodes"));
-    }
-
-    #[test]
-    fn boxed_input_composes_with_fault_verdicts() {
-        let c = checker();
-        let x = [r(100), r(82)];
-        let model = FaultModel::WeightNoise {
-            rel_eps: rq(2, 100),
-        };
-        // ±2% input noise and ±2% weight noise together stay far from
-        // the ≈9.9% flip threshold.
-        let (out, _) = c
-            .check_with_noise(&x, 0, &NoiseRegion::symmetric(2, 2), &model)
-            .unwrap();
-        assert_eq!(out, FaultOutcome::Robust);
-        // ±12% input noise alone already flips — the joint claim fails
-        // with a witness or stays undecided, never Robust.
-        let (out, _) = c
-            .check_with_noise(&x, 0, &NoiseRegion::symmetric(12, 2), &model)
-            .unwrap();
-        assert!(!out.is_robust(), "{out:?}");
     }
 
     #[test]
@@ -1239,19 +917,46 @@ mod tests {
     }
 
     #[test]
-    fn verdict_probe_tolerance_search_counts_unknown_as_failure() {
-        // The historical wrapper: probes return verdicts, Unknown is a
-        // failure — the certified value stops below the Unknown band.
-        let result = tolerance_search(&ToleranceSearch::new(100, 10), |eps| {
-            Ok::<_, String>(if eps <= rq(4, 100) {
-                FaultOutcome::Robust
-            } else {
-                FaultOutcome::Unknown
-            })
-        })
+    fn tolerance_counts_unknown_probes_as_failures() {
+        // The budget-exhaustion network of the test above: the true flip
+        // threshold is ≈5.8%, but with screening off and a one-box
+        // budget the exact tier decides the root only up to ε = 1/33;
+        // above it every probe ends Unknown. The certified value stops
+        // below the Unknown band, not at the true threshold.
+        let shared = DenseLayer::new(
+            Matrix::from_rows(vec![vec![r(3), r(1)]]).unwrap(),
+            vec![r(0)],
+            Activation::Identity,
+        )
         .unwrap();
-        assert_eq!(result.robust_eps, Some(rq(4, 100)));
-        assert_eq!(result.first_failure, Some(rq(5, 100)));
+        let split = DenseLayer::new(
+            Matrix::from_rows(vec![vec![r(1)], vec![r(1)]]).unwrap(),
+            vec![r(5), r(0)],
+            Activation::Identity,
+        )
+        .unwrap();
+        let net = Network::new(vec![shared, split], Readout::MaxPool).unwrap();
+        let c = FaultChecker::new(
+            net,
+            FaultCheckerConfig::default()
+                .with_screening(ScreeningTier::None)
+                .with_max_boxes(1),
+        );
+        let x = [r(10), r(10)];
+        let (out, _) = c
+            .check(
+                &x,
+                0,
+                &FaultModel::WeightNoise {
+                    rel_eps: rq(4, 100),
+                },
+            )
+            .unwrap();
+        assert_eq!(out, FaultOutcome::Unknown);
+        let (tol, stats) = c.tolerance(&x, 0, &ToleranceSearch::new(100, 10)).unwrap();
+        assert_eq!(tol.robust_eps, Some(rq(3, 100)), "{stats:?}");
+        assert_eq!(tol.first_failure, Some(rq(4, 100)));
+        assert!(stats.budget_exhausted);
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //! concretization (every noise grid point paired with every faulted
 //! network of the lift) contains every pair the claim quantifies over;
 //! verdicts of the screening tiers therefore transfer exactly as in the
-//! single-factor domains (the independence argument of DESIGN.md §12).
-//! Unlike [`crate::FaultChecker::check_with_noise`], which only ever
-//! splits the *fault* factor and goes `Unknown` once the input box is
-//! too wide for one-shot propagation, the joint search refines **both**
-//! factors — always the one that is currently least resolved by
-//! normalized width — which is what makes non-trivial (δ, ε) frontiers
-//! decidable.
+//! input-noise domain (the independence argument of DESIGN.md §12). The
+//! search refines **both** factors — always the one that is currently
+//! least resolved by normalized width — which is what makes non-trivial
+//! (δ, ε) frontiers decidable.
+//!
+//! This is also the only fault search: a plain fault check
+//! ([`crate::FaultChecker`]) is a joint check at the zero noise box,
+//! where the noise factor is a point and every split refines the fault
+//! factor.
 
 use fannet_nn::Network;
 use fannet_numeric::{Interval, Rational};
@@ -31,9 +33,10 @@ use fannet_search::{
 use fannet_verify::bab::ScreeningTier;
 use fannet_verify::noise::NoiseVector;
 use fannet_verify::region::NoiseRegion;
-use serde::{Deserialize, Serialize};
 
-use crate::checker::{lift_is_exact, probe_concrete, validate_query, FaultCheckerConfig};
+use crate::checker::{
+    lift_is_exact, probe_concrete, validate_query, FaultCheckerConfig, FaultOutcome, FaultWitness,
+};
 use crate::model::FaultModel;
 use crate::propagate::{
     classify_box, classify_box_float, classify_box_zonotope, enclose_input, enclose_input_float,
@@ -84,10 +87,12 @@ impl ProductRegion {
     /// normalized widths of the two factors — widest noise range over
     /// the nominal 100 % vs. widest relative parameter interval
     /// ([`FaultRegion::normalized_width`]) — are compared directly, and
-    /// the wider factor bisects (its own widest dimension, as in the
-    /// single-factor domains). Ties prefer the noise factor, and a
-    /// point factor falls back to the other, so the choice is a pure
-    /// deterministic function of the region — the search stays
+    /// the wider factor bisects its own widest dimension
+    /// ([`NoiseRegion::split`], [`FaultRegion::split`]). Ties prefer the
+    /// noise factor. When either factor is a point the other splits
+    /// without either width being computed (a fault check's zero noise
+    /// box always splits its fault factor). The choice is a pure
+    /// deterministic function of the region, so the search stays
     /// deterministic and cache-replayable (DESIGN.md §12).
     ///
     /// Returns `None` when both factors are points.
@@ -109,7 +114,12 @@ impl ProductRegion {
                 )
             })
         };
-        if self.noise_normalized_width() >= self.fault.normalized_width() {
+        let noise_first = if self.noise.is_point() || self.fault.is_point() {
+            !self.noise.is_point()
+        } else {
+            self.noise_normalized_width() >= self.fault.normalized_width()
+        };
+        if noise_first {
             split_noise().or_else(split_fault)
         } else {
             split_fault().or_else(split_noise)
@@ -121,62 +131,6 @@ impl ProductRegion {
     #[must_use]
     pub fn output_intervals(&self, x: &[Rational]) -> Vec<Interval> {
         self.fault.output_intervals(&enclose_input(x, &self.noise))
-    }
-}
-
-/// A concrete, in-model joint misclassification witness: one noise grid
-/// point plus one faulted network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JointWitness {
-    /// The witnessing noise vector (integer percents).
-    pub noise: NoiseVector,
-    /// Human-readable description of the faulted assignment.
-    pub description: String,
-    /// Exact output activations of the faulted network on the noisy
-    /// input.
-    pub outputs: Vec<Rational>,
-    /// The (wrong) label predicted.
-    pub predicted: usize,
-    /// The expected label.
-    pub expected: usize,
-}
-
-/// Outcome of a joint check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JointOutcome {
-    /// Proof: every (noise vector, faulted network) pair keeps the
-    /// label.
-    Robust,
-    /// Proof by witness: a concrete in-model pair flips it.
-    Vulnerable(JointWitness),
-    /// The budgeted search could not decide (sound in both directions).
-    Unknown,
-}
-
-impl JointOutcome {
-    /// `true` for [`JointOutcome::Robust`].
-    #[must_use]
-    pub fn is_robust(&self) -> bool {
-        matches!(self, JointOutcome::Robust)
-    }
-
-    /// The witness, if any.
-    #[must_use]
-    pub fn witness(&self) -> Option<&JointWitness> {
-        match self {
-            JointOutcome::Vulnerable(w) => Some(w),
-            _ => None,
-        }
-    }
-
-    /// The JSONL wire spelling of the verdict.
-    #[must_use]
-    pub fn wire_name(&self) -> &'static str {
-        match self {
-            JointOutcome::Robust => "robust",
-            JointOutcome::Vulnerable(_) => "vulnerable",
-            JointOutcome::Unknown => "unknown",
-        }
     }
 }
 
@@ -225,7 +179,7 @@ impl JointChecker {
         label: usize,
         noise: &NoiseRegion,
         model: &FaultModel,
-    ) -> Result<(JointOutcome, SearchStats), String> {
+    ) -> Result<(FaultOutcome, SearchStats), String> {
         self.check_timed(x, label, noise, model, TierTimer::disabled())
     }
 
@@ -245,30 +199,34 @@ impl JointChecker {
         noise: &NoiseRegion,
         model: &FaultModel,
         timer: TierTimer,
-    ) -> Result<(JointOutcome, SearchStats), String> {
+    ) -> Result<(FaultOutcome, SearchStats), String> {
         validate_query(&self.net, x, label, noise)?;
         let fault_root = FaultRegion::lift(&self.net, model)?;
         let mut stats = SearchStats::default();
 
-        // Concrete probes at the zero-noise point (when it is part of
-        // the claim): the fault probes of the single-factor checker,
-        // lifted to joint witnesses.
-        if noise.contains(&NoiseVector::zero(x.len())) {
+        // Concrete fault probes at the zero-noise point (when it is part
+        // of the claim).
+        let has_zero = noise.contains(&NoiseVector::zero(x.len()));
+        if has_zero {
             if let Some(w) = probe_concrete(&self.net, x, label, model, &fault_root, &mut stats)? {
-                return Ok((
-                    JointOutcome::Vulnerable(joint_witness(NoiseVector::zero(x.len()), w)),
-                    stats,
-                ));
+                return Ok((FaultOutcome::Vulnerable(w), stats));
             }
         }
-        // Noise-corner probes: the all-lower / all-upper noise corners
-        // against an in-model assignment (identity, or the stuck-at
-        // region's only member) — cheap joint-vulnerability detection
-        // when the input box alone already flips the label.
-        if let Some(w) =
+        if has_zero && noise.is_point() {
+            // The zero box, i.e. a plain fault check: both noise corners
+            // are the zero vector the probes just evaluated, and for a
+            // single bit flip the probes enumerated every legal faulted
+            // network, so they decided it completely.
+            if let FaultModel::BitFlips { budget: 1 } = model {
+                return Ok((FaultOutcome::Robust, stats));
+            }
+        } else if let Some(w) =
             self.probe_noise_corners(x, label, noise, model, &fault_root, &mut stats)?
         {
-            return Ok((JointOutcome::Vulnerable(w), stats));
+            // The all-lower / all-upper noise corners against an
+            // in-model assignment: cheap joint-vulnerability detection
+            // when the input box alone already flips the label.
+            return Ok((FaultOutcome::Vulnerable(w), stats));
         }
 
         let tiers = JointTiers::new(x, label, self.config.screening);
@@ -285,9 +243,9 @@ impl JointChecker {
         stats.merge(&search_stats);
         Ok((
             match outcome {
-                SearchOutcome::Proven => JointOutcome::Robust,
-                SearchOutcome::Witness(w) => JointOutcome::Vulnerable(w),
-                SearchOutcome::Undecided => JointOutcome::Unknown,
+                SearchOutcome::Proven => FaultOutcome::Robust,
+                SearchOutcome::Witness(w) => FaultOutcome::Vulnerable(w),
+                SearchOutcome::Undecided => FaultOutcome::Unknown,
             },
             stats,
         ))
@@ -303,7 +261,7 @@ impl JointChecker {
         model: &FaultModel,
         fault_root: &FaultRegion,
         stats: &mut SearchStats,
-    ) -> Result<Option<JointWitness>, String> {
+    ) -> Result<Option<FaultWitness>, String> {
         // Stuck-at's lift has a single member (the region itself); the
         // other models all contain the fault-free identity network.
         let (assignment, description) = match model {
@@ -329,7 +287,7 @@ impl JointChecker {
             let outputs = assignment.forward(&nv.apply(x))?;
             let predicted = fannet_tensor::vector::argmax(&outputs).expect("outputs non-empty");
             if predicted != label {
-                return Ok(Some(JointWitness {
+                return Ok(Some(FaultWitness {
                     noise: nv,
                     description: description.clone(),
                     outputs,
@@ -400,25 +358,12 @@ impl JointChecker {
     }
 }
 
-/// Lifts a fault witness found at a concrete noise vector to a joint
-/// witness.
-fn joint_witness(noise: NoiseVector, w: crate::checker::FaultWitness) -> JointWitness {
-    JointWitness {
-        noise,
-        description: w.description,
-        outputs: w.outputs,
-        predicted: w.predicted,
-        expected: w.expected,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The product-domain search
 // ---------------------------------------------------------------------------
 
 /// Float-interval tier over product boxes: the noise factor changes per
-/// box, so the input enclosure is recomputed per classification (unlike
-/// the fixed-noise fault cascade).
+/// box, so the input enclosure is recomputed per classification.
 struct JointIntervalScreen<'a> {
     x: &'a [Rational],
     label: usize,
@@ -513,7 +458,7 @@ struct JointQuery<'a> {
 
 impl SearchDomain for JointQuery<'_> {
     type Region = ProductRegion;
-    type Witness = JointWitness;
+    type Witness = FaultWitness;
     type Scratch = ();
 
     fn decide(
@@ -522,7 +467,7 @@ impl SearchDomain for JointQuery<'_> {
         depth: u32,
         _scratch: &mut (),
         stats: &mut SearchStats,
-    ) -> BoxDecision<ProductRegion, JointWitness> {
+    ) -> BoxDecision<ProductRegion, FaultWitness> {
         match self.cascade.classify(region, stats) {
             BoxVerdict::AlwaysCorrect => {
                 stats.pruned_correct += 1;
@@ -551,7 +496,7 @@ impl SearchDomain for JointQuery<'_> {
                         predicted, self.label,
                         "interval proof of misclassification is sound"
                     );
-                    return BoxDecision::UniformWitness(JointWitness {
+                    return BoxDecision::UniformWitness(FaultWitness {
                         noise: nv,
                         description: "joint box proven uniformly misclassifying \
                                       (midpoint assignment)"
@@ -561,13 +506,22 @@ impl SearchDomain for JointQuery<'_> {
                         expected: self.label,
                     });
                 }
-                // Combinatorial lift: a uniformly-wrong box proves
-                // nothing (it may contain no legal assignment) — the
-                // outcome is pinned Unknown, as in the fault domain.
+                // Combinatorial lift (`BitFlips`): the box may contain
+                // no legal assignment, so a uniformly-wrong box proves
+                // nothing and refining it cannot help — Robust is off
+                // the table, Vulnerable needs a concrete witness the
+                // probes did not find. The outcome is pinned to
+                // Unknown; stop instead of burning the box budget.
                 BoxDecision::AbandonAll
             }
             BoxVerdict::Unknown => {
                 if depth >= self.max_depth {
+                    // Abandon, don't refine: the boundary may be
+                    // bisected forever (continuous fault space). For
+                    // a combinatorial lift nothing can rescue the
+                    // outcome (no box ever yields Vulnerable), so
+                    // stop; continuous models keep exploring — a
+                    // sibling box may still prove AlwaysWrong.
                     return if self.lift_is_exact {
                         BoxDecision::Abandon
                     } else {
@@ -592,7 +546,7 @@ impl SearchDomain for JointQuery<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{FaultChecker, FaultOutcome};
+    use crate::checker::FaultChecker;
     use fannet_nn::{Activation, DenseLayer, Readout};
     use fannet_tensor::Matrix;
 
@@ -651,16 +605,16 @@ mod tests {
                 let comfortably_robust = jointly_robust(100, 82, delta + 4, eps + rq(4, 100));
                 let vulnerable_at_zero_noise = !jointly_robust(100, 82, 0, eps);
                 match &out {
-                    JointOutcome::Robust => {
+                    FaultOutcome::Robust => {
                         assert!(expected, "claimed Robust at δ={delta} ε={eps}: {stats:?}")
                     }
-                    JointOutcome::Vulnerable(w) => {
+                    FaultOutcome::Vulnerable(w) => {
                         assert!(!expected, "claimed Vulnerable at δ={delta} ε={eps}");
                         assert_eq!(w.expected, 0);
                         assert_ne!(w.predicted, 0);
                         assert!(noise.contains(&w.noise), "witness noise inside the box");
                     }
-                    JointOutcome::Unknown => {
+                    FaultOutcome::Unknown => {
                         assert!(
                             !comfortably_robust && !vulnerable_at_zero_noise,
                             "comfortable joint query must decide at δ={delta} ε={eps}: {stats:?}"
@@ -671,6 +625,10 @@ mod tests {
         }
     }
 
+    /// `FaultChecker::check` is this checker at the zero noise box, so
+    /// the two calls run one search: the assertion checks the wiring
+    /// (the zero box reaches the product search), not two searches
+    /// against each other.
     #[test]
     fn zero_delta_matches_the_plain_fault_checker() {
         let joint = checker();
@@ -684,9 +642,9 @@ mod tests {
             let (joint_out, _) = joint.check(&x, 0, &zero, &model).unwrap();
             let (fault_out, _) = fault.check(&x, 0, &model).unwrap();
             match (&joint_out, &fault_out) {
-                (JointOutcome::Robust, FaultOutcome::Robust)
-                | (JointOutcome::Vulnerable(_), FaultOutcome::Vulnerable(_))
-                | (JointOutcome::Unknown, FaultOutcome::Unknown) => {}
+                (FaultOutcome::Robust, FaultOutcome::Robust)
+                | (FaultOutcome::Vulnerable(_), FaultOutcome::Vulnerable(_))
+                | (FaultOutcome::Unknown, FaultOutcome::Unknown) => {}
                 other => panic!("δ=0 joint/fault verdicts diverge at ε={eps_numer}/100: {other:?}"),
             }
         }
@@ -695,10 +653,9 @@ mod tests {
     /// Both outputs read the same hidden neuron (`out0 = h + 5`,
     /// `out1 = h`), so the claim is trivially robust in truth — but
     /// interval propagation decorrelates `h`, and once the input box is
-    /// wide the *fault* checker cannot recover: it only ever splits the
-    /// fault factor ([`FaultChecker::check_with_noise`]), which never
-    /// shrinks the input-induced width. The joint search splits the
-    /// noise factor too and proves the same query.
+    /// wide, splitting the fault factor alone never shrinks the
+    /// input-induced width. The joint search splits the noise factor too
+    /// and proves the query.
     #[test]
     fn joint_search_decides_where_single_factor_splitting_cannot() {
         let shared = DenseLayer::new(
@@ -719,19 +676,12 @@ mod tests {
         let model = FaultModel::WeightNoise {
             rel_eps: rq(1, 200),
         };
-        // Screening off isolates the split policies (the zonotope tier
-        // would decide both queries at the root).
+        // Screening off isolates the split policy (the zonotope tier
+        // would decide the query at the root).
         let config = FaultCheckerConfig::default().with_screening(ScreeningTier::None);
-        let fault = FaultChecker::new(net.clone(), config.clone());
-        let (single, _) = fault.check_with_noise(&x, 0, &noise, &model).unwrap();
-        assert_eq!(
-            single,
-            FaultOutcome::Unknown,
-            "fault-factor-only splitting must fail on an input-wide box"
-        );
         let joint = JointChecker::new(net, config);
         let (out, stats) = joint.check(&x, 0, &noise, &model).unwrap();
-        assert_eq!(out, JointOutcome::Robust, "{stats:?}");
+        assert_eq!(out, FaultOutcome::Robust, "{stats:?}");
         assert!(
             stats.splits > 0,
             "the proof must need refinement: {stats:?}"
@@ -887,7 +837,8 @@ mod tests {
             }
             last = Some(eps);
         }
-        // δ = 0 reproduces the plain fault tolerance.
+        // δ = 0 is the plain fault tolerance: `FaultChecker::tolerance`
+        // delegates here, so this checks the wiring.
         let fault = FaultChecker::new(comparator(), FaultCheckerConfig::default());
         let (plain, _) = fault.tolerance(&x, 0, &search).unwrap();
         let (joint0, _) = c.tolerance(&x, 0, 0, &search).unwrap();
@@ -947,6 +898,10 @@ mod tests {
         assert!(c
             .check(&[r(1), r(2)], 7, &NoiseRegion::symmetric(1, 2), &model)
             .is_err());
+        assert!(c
+            .check(&[r(1), r(2)], 0, &NoiseRegion::symmetric(1, 3), &model)
+            .unwrap_err()
+            .contains("3 nodes"));
         let sigmoid = Network::new(
             vec![DenseLayer::new(
                 Matrix::from_rows(vec![vec![r(1), r(0)], vec![r(0), r(1)]]).unwrap(),

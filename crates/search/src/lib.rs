@@ -1,9 +1,10 @@
 //! # fannet-search
 //!
 //! The domain-generic branch-and-bound core behind every FANNet analysis
-//! (DESIGN.md §12). Input-noise verification (`fannet-verify`),
-//! weight-fault verification (`fannet-faults`) and the joint
-//! input×weight product domain are all instances of one algorithm:
+//! (DESIGN.md §12). Input-noise verification (`fannet-verify`) and the
+//! joint input×weight product domain of `fannet-faults`, whose zero
+//! noise box is weight-fault verification, are both instances of one
+//! algorithm:
 //!
 //! 1. route each box through a **cascade** of sound classifiers,
 //!    cheapest first ([`Cascade`], [`Classifier`]);

@@ -43,9 +43,7 @@ use fannet::core::faults as core_faults;
 use fannet::core::joint as core_joint;
 use fannet::core::tolerance::robustness_radius;
 use fannet::engine::{Engine, EngineConfig};
-use fannet::faults::{
-    FaultChecker, FaultModel, FaultOutcome, JointChecker, JointOutcome, ToleranceSearch,
-};
+use fannet::faults::{FaultChecker, FaultModel, FaultOutcome, JointChecker, ToleranceSearch};
 use fannet::nn::io;
 use fannet::nn::Network;
 use fannet::numeric::Rational;
@@ -486,13 +484,13 @@ fn joint(args: &[String]) -> Result<(), String> {
         let noise = fannet::verify::region::NoiseRegion::symmetric(delta, x.len());
         let (outcome, stats) = checker.check(&x, label, &noise, &model)?;
         match &outcome {
-            JointOutcome::Robust => println!(
+            FaultOutcome::Robust => println!(
                 "ROBUST: every noise vector within ±{delta}% and every faulted \
                  network under {model} keep label L{label} ({} product boxes, \
                  {} concrete probes — this is a proof)",
                 stats.boxes_visited, stats.concrete_evals
             ),
-            JointOutcome::Vulnerable(w) => {
+            FaultOutcome::Vulnerable(w) => {
                 println!("VULNERABLE under ±{delta}% × {model}: {}", w.description);
                 println!("  witness noise: {}", w.noise);
                 println!("  predicted L{} instead of L{}", w.predicted, w.expected);
@@ -501,7 +499,7 @@ fn joint(args: &[String]) -> Result<(), String> {
                     w.outputs.iter().map(Rational::to_f64).collect::<Vec<_>>()
                 );
             }
-            JointOutcome::Unknown => println!(
+            FaultOutcome::Unknown => println!(
                 "UNKNOWN: the budgeted joint search could not decide ±{delta}% × \
                  {model} ({} boxes, budget exhausted: {})",
                 stats.boxes_visited, stats.budget_exhausted

@@ -8,7 +8,7 @@
 use fannet::engine::{Answer, Engine, EngineConfig, Query, QueryKind, Reply};
 use fannet::faults::{
     propagate, FaultChecker, FaultCheckerConfig, FaultModel, FaultOutcome, FaultRegion,
-    FaultedNetwork, JointChecker, JointOutcome, ProductRegion, ToleranceSearch,
+    FaultedNetwork, JointChecker, ProductRegion, ToleranceSearch,
 };
 use fannet::nn::{init, quantize, Activation, Network};
 use fannet::numeric::Rational;
@@ -325,7 +325,7 @@ proptest! {
         let checker = JointChecker::new(net.clone(), FaultCheckerConfig::default());
         let (outcome, _) = checker.check(&x, label, &noise, &model).expect("valid query");
         match &outcome {
-            JointOutcome::Robust => {
+            FaultOutcome::Robust => {
                 let mut rng = StdRng::seed_from_u64(sample_seed);
                 for _ in 0..10 {
                     let percents: Vec<i64> = noise
@@ -343,14 +343,15 @@ proptest! {
                     );
                 }
             }
-            JointOutcome::Vulnerable(w) => {
+            FaultOutcome::Vulnerable(w) => {
                 prop_assert_ne!(w.predicted, w.expected);
                 prop_assert_eq!(w.expected, label);
                 prop_assert!(noise.contains(&w.noise), "witness noise inside the box");
             }
-            JointOutcome::Unknown => {} // always sound
+            FaultOutcome::Unknown => {} // always sound
         }
-        // δ = 0 anchor: the joint verdict kind equals the fault checker's.
+        // δ = 0 wiring: the fault checker is this joint check at the
+        // zero noise box, so its verdict kind must be the same.
         if delta == 0 {
             let fault = FaultChecker::new(net.clone(), FaultCheckerConfig::default());
             let (fault_outcome, _) = fault.check(&x, label, &model).expect("valid query");
