@@ -7,9 +7,11 @@
 //! ```
 //!
 //! With `--bench-json <path>` the binary instead runs only the
-//! checker-ablation benchmark (A2 plus the screening-tier arms) and
-//! writes the timings as JSON, so per-PR `BENCH_*.json` trajectories can
-//! be recorded without paying for the full experiment regeneration.
+//! benchmarks (the float screen on a fixed frontier, the checker
+//! ablation with the screening-tier arms, and the engine and server
+//! tables) and writes the timings as JSON, so per-PR `BENCH_*.json`
+//! trajectories can be recorded without paying for the full experiment
+//! regeneration.
 //!
 //! Log records below `warn` are dropped, so the in-process servers'
 //! connection records stay out of the printed tables.
@@ -24,6 +26,7 @@ use fannet_data::normalize::Affine;
 use fannet_engine::{Answer, Engine, EngineConfig, EngineStats, Query, QueryKind};
 use fannet_faults::{FaultChecker, FaultCheckerConfig, FaultStats};
 use fannet_nn::{fold, init, quantize, train, Activation};
+use fannet_numeric::FloatInterval;
 use fannet_server::session::{answer_lines, SessionConfig};
 use fannet_server::tcp::serve_tcp;
 use fannet_smv::statespace::{growth_table, PaperFsm};
@@ -32,11 +35,14 @@ use fannet_verify::bab::{
     CheckerConfig, RegionChecker,
 };
 use fannet_verify::noise::ExclusionSet;
+use fannet_verify::propagate::FloatShadow;
 use fannet_verify::region::NoiseRegion;
 use fannet_verify::TierTimer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use std::collections::VecDeque;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -204,6 +210,20 @@ struct JointAblationRow {
     stats: FaultStats,
 }
 
+/// The per-box float screen (`FloatShadow::output_intervals`) timed on a
+/// fixed frontier of the paper network: for each test input, the first
+/// [`FLOAT_SCREEN_FRONTIER`] boxes of a breadth-first split of ±30 %.
+#[derive(Serialize)]
+struct FloatScreenReport {
+    /// Boxes screened per pass.
+    boxes: usize,
+    /// Median over [`FLOAT_SCREEN_PASSES`] passes of ns per box.
+    ns_per_box: f64,
+    /// 64-bit FNV-1a over the bits of every output endpoint, as 16 hex
+    /// digits: the kernel's output, which must not change with its speed.
+    digest: String,
+}
+
 /// The `--bench-json` document.
 ///
 /// The `checker_ablation` and `fault_ablation` tables double as the
@@ -213,6 +233,7 @@ struct JointAblationRow {
 /// generic core.
 #[derive(Serialize)]
 struct AblationReport {
+    float_screen: FloatScreenReport,
     checker_ablation: Vec<AblationRow>,
     zonotope_ablation: Vec<ZonotopeAblationRow>,
     tier_attribution: Vec<TierAttributionRow>,
@@ -221,6 +242,64 @@ struct AblationReport {
     engine_throughput: EngineThroughputReport,
     server_throughput: ServerThroughputReport,
     queue_attribution: Vec<QueueAttributionRow>,
+}
+
+/// Boxes per test input in the float-screen frontier.
+const FLOAT_SCREEN_FRONTIER: usize = 512;
+/// Timed passes over the frontier; the report keeps the median.
+const FLOAT_SCREEN_PASSES: usize = 11;
+
+/// Times the float screen alone, without the search loop around it.
+fn float_screen_report() -> FloatScreenReport {
+    let shadow = FloatShadow::new(&paper_study().exact_net);
+    let queries: Vec<(Vec<FloatInterval>, Vec<NoiseRegion>)> = fannet_bench::paper_test_inputs()
+        .iter()
+        .map(|x| {
+            let mut frontier = Vec::with_capacity(FLOAT_SCREEN_FRONTIER);
+            let mut queue = VecDeque::from([NoiseRegion::symmetric(30, x.len())]);
+            while frontier.len() < FLOAT_SCREEN_FRONTIER {
+                let region = queue.pop_front().expect("±30 % splits into more boxes");
+                if let Some((left, right)) = region.split() {
+                    queue.push_back(left);
+                    queue.push_back(right);
+                }
+                frontier.push(region);
+            }
+            (FloatShadow::enclose_input(x), frontier)
+        })
+        .collect();
+    let boxes = queries.iter().map(|(_, frontier)| frontier.len()).sum();
+
+    // The first pass hashes the outputs (and warms the caches).
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for (x, frontier) in &queries {
+        for region in frontier {
+            for iv in shadow.output_intervals(x, region) {
+                for endpoint in [iv.lo(), iv.hi()] {
+                    for byte in endpoint.to_bits().to_le_bytes() {
+                        digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+        }
+    }
+    let mut ns_per_box: Vec<f64> = (0..FLOAT_SCREEN_PASSES)
+        .map(|_| {
+            let t = Instant::now();
+            for (x, frontier) in &queries {
+                for region in frontier {
+                    black_box(shadow.output_intervals(x, black_box(region)));
+                }
+            }
+            t.elapsed().as_nanos() as f64 / boxes as f64
+        })
+        .collect();
+    ns_per_box.sort_by(f64::total_cmp);
+    FloatScreenReport {
+        boxes,
+        ns_per_box: ns_per_box[FLOAT_SCREEN_PASSES / 2],
+        digest: format!("{digest:016x}"),
+    }
 }
 
 /// The ablation arms: every checker configuration on identical P2 queries
@@ -939,7 +1018,13 @@ fn queue_attribution_report() -> Vec<QueueAttributionRow> {
 
 /// `--bench-json` mode: run the ablation, print a table, write JSON.
 fn run_bench_json(path: &str) {
-    println!("checker ablation (screening tiers)");
+    let float_screen = float_screen_report();
+    println!(
+        "float screen: {} boxes  {:>7.1} ns/box (median of {FLOAT_SCREEN_PASSES} passes)  digest {}",
+        float_screen.boxes, float_screen.ns_per_box, float_screen.digest,
+    );
+
+    println!("\nchecker ablation (screening tiers)");
     let rows = checker_ablation_rows(&[5, 11, 15, 25, 50]);
     let mut serial_time = 0.0;
     for row in &rows {
@@ -1109,6 +1194,7 @@ fn run_bench_json(path: &str) {
     }
 
     let json = serde_json::to_string_pretty(&AblationReport {
+        float_screen,
         checker_ablation: rows,
         zonotope_ablation: zonotope,
         tier_attribution: attribution,

@@ -184,6 +184,7 @@ impl FloatInterval {
     }
 
     /// Outward-rounded addition.
+    #[inline]
     #[must_use]
     pub fn add(&self, rhs: &FloatInterval) -> Self {
         widen(self.lo + rhs.lo, self.hi + rhs.hi)
@@ -207,8 +208,9 @@ impl FloatInterval {
         }
     }
 
-    /// Outward-rounded general interval multiplication (min/max over the
-    /// four endpoint products) — alias of [`FloatInterval::mul_interval`].
+    /// Outward-rounded general interval multiplication — alias of
+    /// [`FloatInterval::mul_interval`].
+    #[inline]
     #[must_use]
     pub fn mul(&self, rhs: &FloatInterval) -> Self {
         self.mul_interval(rhs)
@@ -232,17 +234,48 @@ impl FloatInterval {
     /// products could silently select a garbage endpoint), so any
     /// non-finite endpoint — infinite after overflow, or NaN poison —
     /// returns [`FloatInterval::EVERYTHING`], the always-sound top.
+    ///
+    /// When either factor is a point (every weight of a network with
+    /// dyadic parameters, every exactly converted input) the result is
+    /// computed from two endpoint products instead of four; its bits are
+    /// those of the four-product form (see `mul_point`).
+    #[inline]
     #[must_use]
     pub fn mul_interval(&self, rhs: &FloatInterval) -> Self {
         if !(self.lo.is_finite() && self.hi.is_finite() && rhs.lo.is_finite() && rhs.hi.is_finite())
         {
             return FloatInterval::EVERYTHING;
         }
+        if rhs.lo == rhs.hi {
+            return self.mul_point(rhs.lo);
+        }
+        if self.lo == self.hi {
+            return rhs.mul_point(self.lo);
+        }
         let p1 = self.lo * rhs.lo;
         let p2 = self.lo * rhs.hi;
         let p3 = self.hi * rhs.lo;
         let p4 = self.hi * rhs.hi;
         widen(p1.min(p2).min(p3).min(p4), p1.max(p2).max(p3).max(p4))
+    }
+
+    /// `self · [w, w]` for finite endpoints and a finite `w`: the two
+    /// endpoint products, ordered by the sign of `w`.
+    ///
+    /// Bit-identical to the four-product form: with `lo ≤ hi`,
+    /// round-to-nearest is monotone, so `lo·w ≤ hi·w` for `w ≥ 0` and
+    /// `hi·w ≤ lo·w` for `w < 0`, which is the order the `min`/`max`
+    /// chain selects. The chain can only pick a different *bit pattern*
+    /// between products of equal value, i.e. between `+0` and `−0`, and
+    /// `widen` steps both to the same `∓5e-324`.
+    #[inline]
+    fn mul_point(&self, w: f64) -> Self {
+        let (lo, hi) = (self.lo * w, self.hi * w);
+        if w < 0.0 {
+            widen(hi, lo)
+        } else {
+            widen(lo, hi)
+        }
     }
 
     /// Outward-rounded ReLU: `[max(lo,0), max(hi,0)]` (the max itself is
@@ -252,6 +285,7 @@ impl FloatInterval {
     /// first: `f64::max` *ignores* NaN operands, so `NaN.max(0.0)` would
     /// otherwise yield the decided-looking point `[0, 0]` from an interval
     /// that actually bounds nothing.
+    #[inline]
     #[must_use]
     pub fn relu(&self) -> Self {
         if self.lo.is_nan() || self.hi.is_nan() {
@@ -492,6 +526,103 @@ mod tests {
         assert_eq!(prod.hi(), f64::INFINITY);
     }
 
+    /// The four-product form with `std` steps, the reference the
+    /// point-factor case must match bit for bit.
+    fn four_product(a: &FloatInterval, b: &FloatInterval) -> FloatInterval {
+        if !(a.lo.is_finite() && a.hi.is_finite() && b.lo.is_finite() && b.hi.is_finite()) {
+            return FloatInterval::EVERYTHING;
+        }
+        let p1 = a.lo * b.lo;
+        let p2 = a.lo * b.hi;
+        let p3 = a.hi * b.lo;
+        let p4 = a.hi * b.hi;
+        let (lo, hi) = (p1.min(p2).min(p3).min(p4), p1.max(p2).max(p3).max(p4));
+        FloatInterval {
+            lo: lo.next_down(),
+            hi: hi.next_up(),
+        }
+    }
+
+    fn bits(iv: FloatInterval) -> (u64, u64) {
+        (iv.lo.to_bits(), iv.hi.to_bits())
+    }
+
+    #[test]
+    fn point_factor_matches_four_products_bit_for_bit() {
+        let tiny = f64::from_bits(1);
+        let factors = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            1.0 / 3.0,
+            -3.0 / 7.0,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let intervals = [
+            (-0.0, 0.0),
+            (0.0, 0.0),
+            (-0.0, -0.0),
+            (-1.0, 2.0),
+            (1.0, 2.0),
+            (-3.0, -1.0),
+            (tiny, 1.0),
+            (-1.0, -tiny),
+            (1e-300, 1e300),
+            (1e300, 1e308),
+            (f64::MIN, f64::MAX),
+            (2.5, 2.5),
+        ];
+        for &w in &factors {
+            let point = FloatInterval { lo: w, hi: w };
+            for &(lo, hi) in &intervals {
+                let a = FloatInterval { lo, hi };
+                let expected = bits(four_product(&a, &point));
+                assert_eq!(bits(a.mul_interval(&point)), expected, "{a:?} · {w:e}");
+                assert_eq!(bits(point.mul_interval(&a)), expected, "{w:e} · {a:?}");
+            }
+        }
+        // ±0 factors give ±0 products, which widen to the same ∓5e-324.
+        let a = FloatInterval::new(-1.0, 2.0);
+        for w in [0.0, -0.0] {
+            assert_eq!(
+                bits(a.mul(&FloatInterval::new(w, w))),
+                ((-tiny).to_bits(), tiny.to_bits()),
+                "{w:?}"
+            );
+        }
+        // A negative factor swaps which endpoint product bounds which side.
+        let prod = FloatInterval::new(1.0, 2.0).mul(&FloatInterval::new(-3.0, -3.0));
+        assert_eq!(
+            (prod.lo, prod.hi),
+            ((-6.0f64).next_down(), (-3.0f64).next_up())
+        );
+        // Overflowing products keep their infinite bound, not EVERYTHING.
+        let big = FloatInterval::new(1e290, 1e308);
+        let up = big.mul(&FloatInterval::new(1e10, 1e10));
+        assert_eq!(
+            (up.lo, up.hi),
+            ((1e290 * 1e10f64).next_down(), f64::INFINITY)
+        );
+        let down = big.mul(&FloatInterval::new(-1e10, -1e10));
+        assert_eq!(
+            (down.lo, down.hi),
+            (f64::NEG_INFINITY, (1e290 * -1e10f64).next_up())
+        );
+        // A non-finite operand still degrades before the point case.
+        assert_eq!(
+            FloatInterval::EVERYTHING.mul(&FloatInterval::new(2.0, 2.0)),
+            FloatInterval::EVERYTHING
+        );
+    }
+
     #[test]
     fn relu_and_max_enclose_exact() {
         let e = Interval::new(r(-5, 3), r(7, 3));
@@ -521,6 +652,18 @@ mod tests {
         assert!(!tiny.contains_rational(r(1, 1)));
         // Infinite endpoints still pass unconditionally (always sound).
         assert!(FloatInterval::EVERYTHING.contains_rational(r(-1, 1)));
+        // Finite endpoints beyond i128 cannot be converted exactly and must
+        // fall back to the f64 condition, which keeps zero outside.
+        for lo in [3e38, 2f64.powi(127), 2f64.powi(128)] {
+            let above = FloatInterval::new(lo, f64::INFINITY);
+            assert!(!above.contains_rational(r(0, 1)), "[{lo:e}, ∞] excludes 0");
+            let below = FloatInterval::new(f64::NEG_INFINITY, -lo);
+            assert!(
+                !below.contains_rational(r(0, 1)),
+                "[-∞, -{lo:e}] excludes 0"
+            );
+        }
+        assert!(FloatInterval::new(-3e38, 3e38).contains_rational(r(0, 1)));
     }
 
     #[test]

@@ -184,8 +184,14 @@ impl Rational {
         };
         let m = i128::from(mantissa);
         if exponent >= 0 {
-            let shifted = m.checked_shl(u32::try_from(exponent).ok()?)?;
-            Some(Rational::new(sign * shifted, 1))
+            // `checked_shl` checks only the shift amount, not the bits
+            // shifted out: `m · 2^shift` fits `i128` terms only below
+            // 2^127, i.e. when the shift stays under m's leading zeros.
+            let shift = u32::try_from(exponent).ok()?;
+            if shift >= m.leading_zeros() {
+                return None;
+            }
+            Some(Rational::new(sign * (m << shift), 1))
         } else {
             let shift = u32::try_from(-exponent).ok()?;
             if shift >= 127 {
@@ -857,6 +863,31 @@ mod tests {
         assert_eq!(Rational::from_f64_exact(0.0), Some(Rational::ZERO));
         assert_eq!(Rational::from_f64_exact(f64::INFINITY), None);
         assert_eq!(Rational::from_f64_exact(f64::NAN), None);
+    }
+
+    #[test]
+    fn from_f64_exact_rejects_values_beyond_i128() {
+        let two_127 = 2f64.powi(127);
+        for v in [
+            two_127,
+            -two_127,
+            2f64.powi(128),
+            3e38,
+            -2.55e38,
+            f64::MAX,
+            -f64::MAX,
+        ] {
+            assert_eq!(Rational::from_f64_exact(v), None, "{v:e} exceeds i128");
+        }
+        // The largest doubles below 2^127 still convert exactly.
+        let below = two_127.next_down();
+        let r = Rational::from_f64_exact(below).expect("fits below 2^127");
+        assert_eq!(r.numer(), i128::MAX - ((1i128 << 74) - 1));
+        assert_eq!(r.to_f64(), below);
+        assert_eq!(
+            Rational::from_f64_exact(-2f64.powi(126)),
+            Some(Rational::new(-(1i128 << 126), 1))
+        );
     }
 
     #[test]

@@ -204,8 +204,9 @@ pub struct FloatShadow {
 
 #[derive(Debug, Clone)]
 struct FloatShadowLayer {
-    /// `weights[r][c]` encloses the exact weight of output `r`, input `c`.
-    weights: Vec<Vec<FloatInterval>>,
+    /// Column-major: `weights[c * outputs + r]` encloses the exact weight
+    /// of output `r`, input `c`, so one input's weights are contiguous.
+    weights: Vec<FloatInterval>,
     biases: Vec<FloatInterval>,
     activation: Activation,
 }
@@ -228,11 +229,9 @@ impl FloatShadow {
             .iter()
             .map(|layer| {
                 let w = layer.weights();
-                let weights = (0..w.rows())
-                    .map(|r| {
-                        (0..w.cols())
-                            .map(|c| FloatInterval::from_rational_point(w[(r, c)]))
-                            .collect()
+                let weights = (0..w.cols())
+                    .flat_map(|c| {
+                        (0..w.rows()).map(move |r| FloatInterval::from_rational_point(w[(r, c)]))
                     })
                     .collect();
                 let biases = layer
@@ -272,6 +271,13 @@ impl FloatShadow {
     /// every noise vector in `region` — the `f64` counterpart of
     /// [`output_intervals`], guaranteed to enclose it.
     ///
+    /// Each layer streams one input at a time across every output's
+    /// accumulator (the column-major weights keep that input's weights
+    /// contiguous), so the accumulators form independent dependency
+    /// chains. Each accumulator still adds its bias, then inputs
+    /// `0..n` in order, one outward step per multiply and per add, so
+    /// every endpoint has the bits of a row-by-row dot product.
+    ///
     /// # Panics
     ///
     /// Panics if widths disagree (callers validate once per query).
@@ -295,19 +301,19 @@ impl FloatShadow {
 
         let mut next: Vec<FloatInterval> = Vec::new();
         for layer in &self.layers {
+            let outputs = layer.biases.len();
             next.clear();
-            next.reserve(layer.biases.len());
-            for (row, bias) in layer.weights.iter().zip(&layer.biases) {
-                let mut z = *bias;
-                for (a, w) in acts.iter().zip(row) {
-                    z = z.add(&a.mul(w));
+            next.extend_from_slice(&layer.biases);
+            for (c, a) in acts.iter().enumerate() {
+                let column = &layer.weights[c * outputs..(c + 1) * outputs];
+                for (z, w) in next.iter_mut().zip(column) {
+                    *z = z.add(&a.mul(w));
                 }
-                let out = match layer.activation {
-                    Activation::Identity => z,
-                    Activation::ReLU => z.relu(),
-                    Activation::Sigmoid => unreachable!("checked piecewise-linear in new()"),
-                };
-                next.push(out);
+            }
+            match layer.activation {
+                Activation::Identity => {}
+                Activation::ReLU => next.iter_mut().for_each(|z| *z = z.relu()),
+                Activation::Sigmoid => unreachable!("checked piecewise-linear in new()"),
             }
             std::mem::swap(&mut acts, &mut next);
         }

@@ -1,0 +1,194 @@
+//! Pins the bits of the float screen's kernel where no golden reaches.
+//!
+//! The paper network and the serve model have dyadic weights, so every
+//! weight enclosure there is a point and the goldens and pinned counters
+//! only exercise the point-factor multiply. This property compares
+//! [`FloatShadow::output_intervals`] with a row-by-row reference loop
+//! built from four-product multiplies and `std`'s one-ulp steps, endpoint
+//! by endpoint via `to_bits`, on random ReLU networks whose weights mix
+//! non-dyadic (k/3, k/7) and dyadic (k/2^20) values, zeros and negatives,
+//! over random boxes and inputs large enough for products to overflow.
+
+use fannet_nn::{Activation, DenseLayer, Network, Readout};
+use fannet_numeric::{FloatInterval, Rational};
+use fannet_tensor::Matrix;
+use fannet_verify::propagate::{float_factor, FloatShadow};
+use fannet_verify::region::NoiseRegion;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// One outward step per endpoint with `std`'s `next_down`/`next_up`; a
+/// NaN endpoint degrades to the whole line.
+fn ref_widen(lo: f64, hi: f64) -> FloatInterval {
+    if lo.is_nan() || hi.is_nan() {
+        return FloatInterval::EVERYTHING;
+    }
+    FloatInterval::new(lo.next_down(), hi.next_up())
+}
+
+fn ref_add(a: &FloatInterval, b: &FloatInterval) -> FloatInterval {
+    ref_widen(a.lo() + b.lo(), a.hi() + b.hi())
+}
+
+/// The four-product multiply: `min`/`max` over every endpoint product.
+fn ref_mul(a: &FloatInterval, b: &FloatInterval) -> FloatInterval {
+    if !(a.lo().is_finite() && a.hi().is_finite() && b.lo().is_finite() && b.hi().is_finite()) {
+        return FloatInterval::EVERYTHING;
+    }
+    let p1 = a.lo() * b.lo();
+    let p2 = a.lo() * b.hi();
+    let p3 = a.hi() * b.lo();
+    let p4 = a.hi() * b.hi();
+    ref_widen(p1.min(p2).min(p3).min(p4), p1.max(p2).max(p3).max(p4))
+}
+
+fn ref_relu(z: &FloatInterval) -> FloatInterval {
+    if z.lo().is_nan() || z.hi().is_nan() {
+        return FloatInterval::EVERYTHING;
+    }
+    FloatInterval::new(z.lo().max(0.0), z.hi().max(0.0))
+}
+
+/// The float screen as a row-by-row dot product: each output starts at
+/// its bias and adds `a_c · w_rc` for `c = 0..n` in order.
+fn reference_outputs(
+    net: &Network<Rational>,
+    x_enclosure: &[FloatInterval],
+    region: &NoiseRegion,
+) -> Vec<FloatInterval> {
+    let mut acts: Vec<FloatInterval> = x_enclosure
+        .iter()
+        .zip(region.ranges())
+        .map(|(xk, &(lo, hi))| ref_mul(xk, &float_factor(lo, hi)))
+        .collect();
+    for layer in net.layers() {
+        let w = layer.weights();
+        let mut next = Vec::with_capacity(w.rows());
+        for r in 0..w.rows() {
+            let mut z = FloatInterval::from_rational_point(layer.biases()[r]);
+            for (c, a) in acts.iter().enumerate() {
+                z = ref_add(
+                    &z,
+                    &ref_mul(a, &FloatInterval::from_rational_point(w[(r, c)])),
+                );
+            }
+            next.push(match layer.activation() {
+                Activation::Identity => z,
+                Activation::ReLU => ref_relu(&z),
+                Activation::Sigmoid => unreachable!("only piecewise-linear layers are generated"),
+            });
+        }
+        acts = next;
+    }
+    acts
+}
+
+/// A parameter k/3, k/7 or k/2^20, zero one time in six.
+fn parameter(rng: &mut StdRng) -> Rational {
+    match rng.gen_range(0..6u32) {
+        0 => Rational::ZERO,
+        1 | 2 => Rational::new(rng.gen_range(-30i64..=30).into(), 3),
+        3 => Rational::new(rng.gen_range(-30i64..=30).into(), 7),
+        _ => Rational::new(rng.gen_range(-(1i64 << 22)..=1 << 22).into(), 1 << 20),
+    }
+}
+
+/// A 2- or 3-layer network with ReLU hidden layers and an Identity or
+/// ReLU output layer.
+fn random_net(rng: &mut StdRng) -> Network<Rational> {
+    let inputs = rng.gen_range(1..=5usize);
+    let mut widths = vec![inputs];
+    for _ in 0..rng.gen_range(1..=2usize) {
+        widths.push(rng.gen_range(1..=8usize));
+    }
+    widths.push(rng.gen_range(2..=3usize));
+    let last = widths.len() - 2;
+    let layers = widths
+        .windows(2)
+        .enumerate()
+        .map(|(i, pair)| {
+            let rows = (0..pair[1])
+                .map(|_| (0..pair[0]).map(|_| parameter(rng)).collect())
+                .collect();
+            let biases = (0..pair[1]).map(|_| parameter(rng)).collect();
+            let activation = if i < last || rng.gen_range(0..2u32) == 0 {
+                Activation::ReLU
+            } else {
+                Activation::Identity
+            };
+            DenseLayer::new(
+                Matrix::from_rows(rows).expect("rectangular"),
+                biases,
+                activation,
+            )
+            .expect("matching biases")
+        })
+        .collect();
+    Network::new(layers, Readout::MaxPool).expect("consistent widths")
+}
+
+/// An input enclosure of magnitude 10^-6 … 10^308, one in four above
+/// 10^299 so that some products overflow: a point half the time (an
+/// exactly converted input), otherwise a short interval.
+fn random_input(rng: &mut StdRng) -> FloatInterval {
+    let exponent = if rng.gen_range(0..4u32) == 0 {
+        rng.gen_range(300i32..=308)
+    } else {
+        rng.gen_range(-5i32..=300)
+    };
+    let magnitude = 10f64.powi(exponent) * rng.gen_range(0.1..1.0);
+    let v = if rng.gen_range(0..2u32) == 0 {
+        magnitude
+    } else {
+        -magnitude
+    };
+    if rng.gen_range(0..2u32) == 0 {
+        FloatInterval::new(v, v)
+    } else {
+        FloatInterval::new(v, v + v.abs() * rng.gen_range(0.0..1.0))
+    }
+}
+
+fn random_region(rng: &mut StdRng, nodes: usize) -> NoiseRegion {
+    NoiseRegion::new(
+        (0..nodes)
+            .map(|_| {
+                let lo = rng.gen_range(-100i64..=100);
+                (lo, rng.gen_range(lo..=100))
+            })
+            .collect(),
+    )
+}
+
+fn bits(iv: &FloatInterval) -> (u64, u64) {
+    (iv.lo().to_bits(), iv.hi().to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The shadow's output endpoints have exactly the reference loop's
+    /// bits, overflowed (`EVERYTHING`) outputs included.
+    #[test]
+    fn shadow_kernel_matches_row_by_row_reference_bit_for_bit(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = random_net(&mut rng);
+        let shadow = FloatShadow::new(&net);
+        for _ in 0..4 {
+            let x: Vec<FloatInterval> = (0..net.inputs()).map(|_| random_input(&mut rng)).collect();
+            let region = random_region(&mut rng, net.inputs());
+            let fast = shadow.output_intervals(&x, &region);
+            let reference = reference_outputs(&net, &x, &region);
+            prop_assert_eq!(fast.len(), reference.len());
+            for (k, (f, r)) in fast.iter().zip(&reference).enumerate() {
+                prop_assert_eq!(
+                    bits(f),
+                    bits(r),
+                    "output {} of {:?} on {:?} under {:?}: {:?} vs reference {:?}",
+                    k, net, x, region, f, r
+                );
+            }
+        }
+    }
+}
