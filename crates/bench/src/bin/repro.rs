@@ -346,10 +346,11 @@ fn checker_ablation_rows(deltas: &[i64]) -> Vec<AblationRow> {
 }
 
 /// The zonotope ablation (the PR-3 headline): interval-only screening vs
-/// the interval→zonotope→exact cascade on the paper network at wide
-/// noise ranges, where interval decorrelation makes branch-and-bound
-/// split thousands of boxes the zonotope's output-difference
-/// classification decides outright. Verdicts are asserted identical —
+/// the interval → zonotope cascade (split what neither decides; exact
+/// only at point boxes) on the paper network at wide noise ranges, where
+/// interval decorrelation makes branch-and-bound split thousands of
+/// boxes the zonotope's output-difference classification decides
+/// outright. Verdicts are asserted identical —
 /// the tiers only change who pays per box.
 fn zonotope_ablation_rows(deltas: &[i64]) -> Vec<ZonotopeAblationRow> {
     let cs = paper_study();

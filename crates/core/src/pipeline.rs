@@ -71,10 +71,11 @@ impl Default for AnalysisConfig {
             per_input_cap: 60,
             near_threshold: 15,
             // Per-input fan-out saturates the cores (each query is one
-            // serial search); the cascade routes each box
-            // through the cheapest screen that can decide it (interval →
-            // zonotope → exact), which is what keeps the wide-delta
-            // sweep rows affordable.
+            // serial search); the cascade routes each box through the
+            // cheapest screen that can decide it (interval → zonotope),
+            // splits what neither decides and runs exact work only at
+            // point boxes, which is what keeps the wide-delta sweep rows
+            // affordable.
             checker: CheckerConfig::cascade(),
             input_threads: default_threads(),
             fault: FaultAnalysisConfig::default(),

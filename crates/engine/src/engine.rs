@@ -336,7 +336,7 @@ impl Engine {
         let shadow = config
             .checker
             .screening
-            .uses_interval()
+            .is_active()
             .then(|| FloatShadow::new(&net));
         let zonotope = config
             .checker

@@ -1754,7 +1754,6 @@ mod tests {
         for (tier, checker) in [
             ("serial_exact", CheckerConfig::serial_exact()),
             ("screened", CheckerConfig::screened()),
-            ("zonotope", CheckerConfig::zonotope()),
             ("cascade", CheckerConfig::cascade()),
         ] {
             let net = || {

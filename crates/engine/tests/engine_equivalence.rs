@@ -101,10 +101,11 @@ fn serving_engine(net: &fannet_nn::Network<Rational>) -> Engine {
     Engine::new(
         net.clone(),
         EngineConfig {
-            // Cascade (interval → zonotope → exact) is the strictest
-            // cross-check here: every cached answer must still be
-            // bit-identical to the *serial-exact* cold baseline below,
-            // whichever screening tier decided each box.
+            // Cascade (interval → zonotope, split what neither decides;
+            // exact only at point boxes) is the strictest cross-check
+            // here: every cached answer must still be bit-identical to
+            // the *serial-exact* cold baseline below, whichever screening
+            // tier decided each box.
             checker: CheckerConfig::cascade(),
             cache_capacity: 64,
         },

@@ -60,9 +60,10 @@ pub use fannet_search::ToleranceSearch;
 /// box, and how many boxes the branch-and-bound may explore.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultCheckerConfig {
-    /// Screening tiers, cheapest first (the exact interval tier always
-    /// runs last on boxes no screen decides — there is no grid-point
-    /// fallback below it).
+    /// Screening tiers, cheapest first. With any screen active, a box
+    /// no screen decides splits (or is abandoned at `max_depth`), and
+    /// exact work runs on point boxes and as the tie pass (DESIGN.md §6);
+    /// [`ScreeningTier::None`] propagates every box exactly instead.
     pub screening: ScreeningTier,
     /// Box budget of the search; when it runs out the check returns
     /// [`FaultOutcome::Unknown`] with `budget_exhausted` set.
@@ -574,12 +575,25 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out, FaultOutcome::Robust, "{stats:?}");
-        let (out, _) = c
-            .check(&x, 0, &FaultModel::WeightNoise { rel_eps: threshold })
-            .unwrap();
         // At exactly the threshold the corner assignment ties; the
         // lower-index tie-break keeps label 0, so it is still robust.
-        assert_eq!(out, FaultOutcome::Robust);
+        // The outward-rounded screens cannot prove a tie and the fault box
+        // never shrinks to a point, so under every setting one exact pass
+        // over the root proves it.
+        let at_threshold = FaultModel::WeightNoise { rel_eps: threshold };
+        for tier in ScreeningTier::ALL {
+            let c = FaultChecker::new(
+                comparator(),
+                FaultCheckerConfig::default().with_screening(tier),
+            );
+            let (out, stats) = c.check(&x, 0, &at_threshold).unwrap();
+            assert_eq!(out, FaultOutcome::Robust, "{tier}: {stats:?}");
+            assert_eq!(
+                (stats.boxes_visited, stats.exact_decisions),
+                (1, 1),
+                "{tier}: {stats:?}"
+            );
+        }
         let (out, _) = c
             .check(
                 &x,
@@ -692,7 +706,10 @@ mod tests {
         // A degenerate-but-provable case: the label's row is all zeros
         // (flips of zero are zero) and the rival's only path reads a
         // zero input — every flip leaves the 0-vs-0 tie in place and the
-        // interval proof closes at the root for any budget.
+        // exact interval proof closes at the root for any budget. The
+        // tie spans the whole fault box, so no split could settle it
+        // within the box budget: the screened search proves it with the
+        // exact pass it gives an undecided continuous root.
         let tie_net = Network::new(
             vec![DenseLayer::new(
                 Matrix::from_rows(vec![vec![r(0), r(0)], vec![r(0), r(1)]]).unwrap(),
@@ -703,11 +720,16 @@ mod tests {
             Readout::MaxPool,
         )
         .unwrap();
-        let c = FaultChecker::new(tie_net, FaultCheckerConfig::default());
-        let (out, _) = c
-            .check(&[r(7), r(0)], 0, &FaultModel::BitFlips { budget: 3 })
-            .unwrap();
-        assert_eq!(out, FaultOutcome::Robust);
+        for tier in [ScreeningTier::None, ScreeningTier::Cascade] {
+            let c = FaultChecker::new(
+                tie_net.clone(),
+                FaultCheckerConfig::default().with_screening(tier),
+            );
+            let (out, stats) = c
+                .check(&[r(7), r(0)], 0, &FaultModel::BitFlips { budget: 3 })
+                .unwrap();
+            assert_eq!(out, FaultOutcome::Robust, "{tier}: {stats:?}");
+        }
     }
 
     #[test]
@@ -817,15 +839,20 @@ mod tests {
     #[test]
     fn tolerance_bisection_matches_the_analytic_threshold() {
         let c = checker();
-        for (x0, x1) in [(100i128, 82i128), (100, 95), (100, 50)] {
+        for (x0, x1) in [(100i128, 82i128), (100, 95), (100, 50), (110, 90)] {
             let x = [r(x0), r(x1)];
             let search = ToleranceSearch::new(1000, 400);
-            let (tol, _) = c.tolerance(&x, 0, &search).unwrap();
+            let (tol, stats) = c.tolerance(&x, 0, &search).unwrap();
             let robust = tol.robust_eps.expect("correctly classified input");
             let threshold = analytic_flip_eps(x0, x1);
             // The certified value is the largest grid point ≤ threshold
             // (the tie itself stays robust via the lower-index rule).
             assert!(robust <= threshold, "({x0},{x1}): {robust} > {threshold}");
+            // (110, 90) ties on the grid, at ε = 1/10 (110·0.9 = 90·1.1):
+            // only exact bounds prove it, and it must be certified.
+            if (threshold * r(1000)).is_integer() {
+                assert_eq!(robust, threshold, "({x0},{x1}): {stats:?}");
+            }
             let next = robust + rq(1, 1000);
             assert!(
                 next > threshold || tol.first_failure == Some(next),

@@ -17,7 +17,10 @@
 //! input-noise domain (the independence argument of DESIGN.md §12). The
 //! search refines **both** factors — always the one that is currently
 //! least resolved by normalized width — which is what makes non-trivial
-//! (δ, ε) frontiers decidable.
+//! (δ, ε) frontiers decidable. Boxes follow the input-noise domain's
+//! rule: a box the screens leave undecided splits, a point box is
+//! settled by one exact evaluation, and exact interval propagation runs
+//! over every box unscreened and otherwise only as the tie pass below.
 //!
 //! This is also the only fault search: a plain fault check
 //! ([`crate::FaultChecker`]) is a joint check at the zero noise box,
@@ -30,7 +33,6 @@ use fannet_search::{
     BoxDecision, Cascade, Classifier, SearchDomain, SearchOutcome, SearchStats, TierKind,
     TierTimer, ToleranceSearch,
 };
-use fannet_verify::bab::ScreeningTier;
 use fannet_verify::noise::NoiseVector;
 use fannet_verify::region::NoiseRegion;
 
@@ -127,7 +129,7 @@ impl ProductRegion {
     }
 
     /// Exact interval enclosure of every output over the whole product
-    /// (the exact tier's transformer, exposed for enclosure tests).
+    /// (the unscreened search's box tier, exposed for enclosure tests).
     #[must_use]
     pub fn output_intervals(&self, x: &[Rational]) -> Vec<Interval> {
         self.fault.output_intervals(&enclose_input(x, &self.noise))
@@ -229,13 +231,22 @@ impl JointChecker {
             return Ok((FaultOutcome::Vulnerable(w), stats));
         }
 
-        let tiers = JointTiers::new(x, label, self.config.screening);
+        // Screens cheapest first; none at all under `ScreeningTier::None`.
+        let interval = JointIntervalScreen { x, label };
+        let zonotope = JointZonotopeScreen { x, label };
+        let mut screens: Vec<&dyn Classifier<ProductRegion>> = Vec::new();
+        if self.config.screening.is_active() {
+            screens.push(&interval);
+        }
+        if self.config.screening.uses_zonotope() {
+            screens.push(&zonotope);
+        }
         let domain = JointQuery {
             x,
             label,
             lift_is_exact: lift_is_exact(model),
             max_depth: self.config.max_depth,
-            cascade: tiers.cascade().with_timer(timer),
+            cascade: Cascade::new(screens).with_timer(timer),
         };
         let root = ProductRegion::new(noise.clone(), fault_root);
         let (outcome, search_stats) =
@@ -399,54 +410,6 @@ impl Classifier<ProductRegion> for JointZonotopeScreen<'_> {
     }
 }
 
-/// Exact interval tier over product boxes — always last.
-struct JointExactTier<'a> {
-    x: &'a [Rational],
-    label: usize,
-}
-
-impl Classifier<ProductRegion> for JointExactTier<'_> {
-    fn tier(&self) -> TierKind {
-        TierKind::Exact
-    }
-    fn classify(&self, region: &ProductRegion) -> BoxVerdict {
-        classify_box(&region.output_intervals(self.x), self.label)
-    }
-}
-
-/// Per-query owners of the joint cascade's tiers.
-struct JointTiers<'a> {
-    interval: Option<JointIntervalScreen<'a>>,
-    zonotope: Option<JointZonotopeScreen<'a>>,
-    exact: JointExactTier<'a>,
-}
-
-impl<'a> JointTiers<'a> {
-    fn new(x: &'a [Rational], label: usize, screening: ScreeningTier) -> Self {
-        JointTiers {
-            interval: screening
-                .uses_interval()
-                .then_some(JointIntervalScreen { x, label }),
-            zonotope: screening
-                .uses_zonotope()
-                .then_some(JointZonotopeScreen { x, label }),
-            exact: JointExactTier { x, label },
-        }
-    }
-
-    fn cascade(&self) -> Cascade<'_, ProductRegion> {
-        let mut tiers: Vec<&dyn Classifier<ProductRegion>> = Vec::new();
-        if let Some(screen) = &self.interval {
-            tiers.push(screen);
-        }
-        if let Some(screen) = &self.zonotope {
-            tiers.push(screen);
-        }
-        tiers.push(&self.exact);
-        Cascade::new(tiers)
-    }
-}
-
 /// The product-domain instantiation of [`SearchDomain`].
 struct JointQuery<'a> {
     x: &'a [Rational],
@@ -461,6 +424,11 @@ impl SearchDomain for JointQuery<'_> {
     type Witness = FaultWitness;
     type Scratch = ();
 
+    /// Classifies one box by the input-noise domain's rule (DESIGN.md
+    /// §12): one screen hit or fallback per screened box, one exact
+    /// evaluation per undecided point box, a split or abandonment for
+    /// any other undecided box, and exact interval propagation over every
+    /// box unscreened but behind the screens only as the tie pass.
     fn decide(
         &self,
         region: &ProductRegion,
@@ -468,7 +436,46 @@ impl SearchDomain for JointQuery<'_> {
         _scratch: &mut (),
         stats: &mut SearchStats,
     ) -> BoxDecision<ProductRegion, FaultWitness> {
-        match self.cascade.classify(region, stats) {
+        // Screening tiers, cheapest first (sound by over-approximation).
+        let mut verdict = self.cascade.classify(region, stats);
+        let screened = !self.cascade.is_empty();
+        // Exact work shares the cascade's timer (DESIGN.md §14).
+        let timer = self.cascade.timer();
+        if screened {
+            if verdict == BoxVerdict::Unknown {
+                stats.screen_fallbacks += 1;
+            } else {
+                stats.screen_hits += 1;
+            }
+        }
+        if verdict == BoxVerdict::Unknown && region.is_point() {
+            // One (noise vector, faulted network) pair: its exact
+            // forward pass decides the box.
+            stats.exact_evals += 1;
+            let noisy = region.noise.to_vector().apply(self.x);
+            let (predicted, ns) = timer.time(|| region.fault.midpoint().classify(&noisy));
+            stats.exact_ns = stats.exact_ns.saturating_add(ns);
+            verdict = if predicted.expect("widths validated at query entry") == self.label {
+                BoxVerdict::AlwaysCorrect
+            } else {
+                BoxVerdict::AlwaysWrong
+            };
+        } else if verdict == BoxVerdict::Unknown
+            && (!screened || depth >= self.max_depth || (depth == 0 && !region.fault.is_point()))
+        {
+            // Unscreened this is the box tier. Behind the screens it is
+            // the tie pass: exact propagation decided none of the boxes it
+            // ran on there (DESIGN.md §6), but only exact bounds prove an
+            // output tie, and a continuous fault box never shrinks to a
+            // point. So it runs on the root (a tie across the box) and on
+            // boxes about to be abandoned (a tie the splits closed in on;
+            // exact enclosures only tighten on sub-boxes).
+            let (exact_verdict, ns) =
+                timer.time(|| classify_box(&region.output_intervals(self.x), self.label));
+            stats.book_tier(TierKind::Exact, exact_verdict, ns);
+            verdict = exact_verdict;
+        }
+        match verdict {
             BoxVerdict::AlwaysCorrect => {
                 stats.pruned_correct += 1;
                 BoxDecision::Pruned
@@ -528,16 +535,9 @@ impl SearchDomain for JointQuery<'_> {
                         BoxDecision::AbandonAll
                     };
                 }
-                match region.split() {
-                    Some((a, b)) => {
-                        stats.splits += 1;
-                        BoxDecision::Split(a, b)
-                    }
-                    // Both factors are points: the exact tier computes
-                    // point intervals and always decides, so this is
-                    // unreachable in practice; abandon defensively.
-                    None => BoxDecision::Abandon,
-                }
+                stats.splits += 1;
+                let (a, b) = region.split().expect("non-point boxes split");
+                BoxDecision::Split(a, b)
             }
         }
     }
@@ -549,6 +549,7 @@ mod tests {
     use crate::checker::FaultChecker;
     use fannet_nn::{Activation, DenseLayer, Readout};
     use fannet_tensor::Matrix;
+    use fannet_verify::bab::ScreeningTier;
 
     fn r(n: i128) -> Rational {
         Rational::from_integer(n)
@@ -884,6 +885,66 @@ mod tests {
                     window[0].1, window[1].1,
                     "contradictory proofs across tiers at ε={eps}: {verdicts:?}"
                 );
+            }
+        }
+    }
+
+    /// The comparator's rounding edge (DESIGN.md §6): at (110, 90) with
+    /// ±10 % the outputs tie at the (−10, +10) corner and label 0 wins.
+    /// With a point fault factor (ε = 0) the joint check is the
+    /// input-noise check, and both domains follow one box rule: exact
+    /// propagation proves the root unscreened, while every screen stays
+    /// `Unknown` at the tie and the search splits down to that corner,
+    /// which one exact point evaluation settles.
+    #[test]
+    fn rounding_edge_follows_one_box_rule_in_both_domains() {
+        use fannet_verify::bab::{CheckerConfig, RegionChecker};
+        use fannet_verify::noise::ExclusionSet;
+
+        let net = comparator();
+        let x = [r(110), r(90)];
+        let noise = NoiseRegion::symmetric(10, 2);
+        let point_fault = FaultModel::WeightNoise {
+            rel_eps: Rational::ZERO,
+        };
+        let shape = |s: &SearchStats| {
+            (
+                s.boxes_visited,
+                s.splits,
+                s.screen_hits,
+                s.screen_fallbacks,
+                s.exact_evals,
+            )
+        };
+        for tier in ScreeningTier::ALL {
+            let (input, input_stats) =
+                RegionChecker::new(&net, CheckerConfig::serial_exact().with_screening(tier))
+                    .check_region(&x, 0, &noise, &ExclusionSet::new())
+                    .unwrap();
+            let joint = JointChecker::new(
+                comparator(),
+                FaultCheckerConfig::default().with_screening(tier),
+            );
+            let (out, stats) = joint.check(&x, 0, &noise, &point_fault).unwrap();
+            assert!(input.is_robust(), "{tier}: {input_stats:?}");
+            assert_eq!(out, FaultOutcome::Robust, "{tier}: {stats:?}");
+            match tier {
+                ScreeningTier::None => {
+                    assert_eq!(input_stats.boxes_visited, 1, "{input_stats:?}");
+                    assert_eq!(stats.boxes_visited, 1, "{stats:?}");
+                    assert_eq!(stats.exact_decisions, 1, "{stats:?}");
+                }
+                ScreeningTier::Interval => {
+                    assert_eq!(shape(&stats), shape(&input_stats), "{stats:?}");
+                    assert_eq!(
+                        (stats.boxes_visited, stats.splits, stats.exact_evals),
+                        (19, 9, 1),
+                        "{stats:?}"
+                    );
+                }
+                ScreeningTier::Cascade => {
+                    assert_eq!(stats.exact_decisions, 0, "{stats:?}");
+                }
             }
         }
     }

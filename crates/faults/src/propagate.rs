@@ -20,7 +20,9 @@
 //! 3. **exact** ([`FaultRegion::output_intervals`]) — exact rational
 //!    interval arithmetic with [`Interval::mul_interval`] per weight
 //!    (weights are now intervals, not constants, so the `scale` fast path
-//!    of the input-noise propagator no longer applies).
+//!    of the input-noise propagator no longer applies). As in the
+//!    input-noise domain it is the box tier of the unscreened search
+//!    only; screened searches split what the first two leave undecided.
 //!
 //! Soundness of every tier: for any [`FaultedNetwork`] drawn from the
 //! region and any noise vector in the input box, each neuron's concrete

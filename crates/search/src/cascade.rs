@@ -70,8 +70,8 @@ pub enum TierKind {
     /// Affine-form zonotope propagation
     /// (`zonotope_hits`/`zonotope_fallbacks`).
     Zonotope,
-    /// Exact rational interval propagation
-    /// (`exact_decisions`/`exact_fallbacks`).
+    /// Exact rational interval propagation over boxes
+    /// (`exact_decisions`/`exact_fallbacks`), run and booked by the domains.
     Exact,
 }
 
@@ -165,28 +165,8 @@ impl<'a, R: ?Sized> Cascade<'a, R> {
     pub fn classify(&self, region: &R, stats: &mut SearchStats) -> BoxVerdict {
         for tier in &self.tiers {
             let (verdict, ns) = self.timer.time(|| tier.classify(region));
-            let (hits, fallbacks, elapsed) = match tier.tier() {
-                TierKind::Interval => (
-                    &mut stats.interval_hits,
-                    &mut stats.interval_fallbacks,
-                    &mut stats.interval_ns,
-                ),
-                TierKind::Zonotope => (
-                    &mut stats.zonotope_hits,
-                    &mut stats.zonotope_fallbacks,
-                    &mut stats.zonotope_ns,
-                ),
-                TierKind::Exact => (
-                    &mut stats.exact_decisions,
-                    &mut stats.exact_fallbacks,
-                    &mut stats.exact_ns,
-                ),
-            };
-            *elapsed = elapsed.saturating_add(ns);
-            if verdict == BoxVerdict::Unknown {
-                *fallbacks += 1;
-            } else {
-                *hits += 1;
+            stats.book_tier(tier.tier(), verdict, ns);
+            if verdict != BoxVerdict::Unknown {
                 return verdict;
             }
         }

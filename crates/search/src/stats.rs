@@ -5,10 +5,10 @@
 //! (`BabStats`) and the fault checker (`FaultStats`) each carried their
 //! own counter struct with overlapping fields. This is the union: one
 //! domain never touches every counter (the grid-complete input-noise
-//! search has no budget, the budgeted fault search tracks exact-tier
-//! decisions instead of aggregate screen hits), but the meaning of each
-//! field is identical wherever it is incremented. The JSONL protocol
-//! serializes this one block wherever counters appear (see
+//! search has no budget and evaluates no faulted networks), but the
+//! meaning of each field is identical wherever it is incremented, and
+//! both domains book them by one box rule (DESIGN.md §12). The JSONL
+//! protocol serializes this one block wherever counters appear (see
 //! `fannet-engine`'s protocol module).
 //!
 //! ## Timing fields stay off the wire
@@ -26,6 +26,8 @@ use serde::de::Error as _;
 use serde::ser::SerializeStruct as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 
+use crate::cascade::{BoxVerdict, TierKind};
+
 /// Counters of one branch-and-bound run (or the merge of several —
 /// tolerance bisections merge their probes' counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,16 +40,18 @@ pub struct SearchStats {
     pub pruned_correct: u64,
     /// Boxes proven uniformly wrong (a witness proof).
     pub proved_wrong: u64,
-    /// Singleton grid points decided by exact evaluation (input-noise
-    /// domain: the ground-truth fallback below every screen).
+    /// Point boxes settled by one exact evaluation — a noise grid point,
+    /// or in the product domain a grid point paired with a point fault
+    /// box (the ground-truth fallback below every screen).
     pub exact_evals: u64,
     /// Boxes some screening tier decided on its own (aggregate over
-    /// every active screen).
+    /// every active screen). A screened search books each visited box
+    /// as exactly one of `screen_hits` or `screen_fallbacks`.
     pub screen_hits: u64,
-    /// Boxes where every active screen returned `Unknown`. In the
-    /// input-noise domain such a box splits, or, at a grid point, is
-    /// evaluated exactly, so a screened search has `screen_fallbacks ==
-    /// splits + exact_evals`.
+    /// Boxes no screen decided, which then split, were evaluated exactly
+    /// (points, and in the input-noise domain a screen's wrong verdict at
+    /// a point) or got the product domain's tie pass (DESIGN.md §6):
+    /// `== splits + exact_evals` in a screened input-noise search.
     pub screen_fallbacks: u64,
     /// Boxes the float-interval tier classified.
     pub interval_hits: u64,
@@ -57,10 +61,13 @@ pub struct SearchStats {
     pub zonotope_hits: u64,
     /// Boxes the zonotope tier handed to the next tier.
     pub zonotope_fallbacks: u64,
-    /// Boxes the exact interval tier classified (budgeted domains, where
-    /// the exact tier is a cascade member rather than a grid fallback).
+    /// Non-point boxes exact interval propagation classified: every box
+    /// unscreened, and behind the screens only the product domain's tie
+    /// pass (DESIGN.md §6).
     pub exact_decisions: u64,
-    /// Boxes no cascade tier could classify (split or abandoned).
+    /// Non-point boxes exact interval propagation left undecided (split,
+    /// or in the product domain abandoned); the unscreened input-noise
+    /// search has `exact_fallbacks == splits`.
     pub exact_fallbacks: u64,
     /// Concrete candidate evaluations (fault domains: faulted networks
     /// evaluated for probes and witnesses).
@@ -73,10 +80,9 @@ pub struct SearchStats {
     /// Nanoseconds spent in the zonotope tier (timed queries only;
     /// never serialized).
     pub zonotope_ns: u64,
-    /// Nanoseconds spent in exact rational work — the exact cascade tier
-    /// of the budgeted domains, and in the input-noise domain the exact
-    /// point evaluations plus, unscreened only, exact interval
-    /// propagation over boxes (timed queries only; never serialized).
+    /// Nanoseconds spent in exact rational work — the exact point
+    /// evaluations plus exact interval propagation over boxes (timed
+    /// queries only; never serialized).
     pub exact_ns: u64,
     /// Deepest split depth any visited box reached (recorded
     /// unconditionally — it costs no clock read; never serialized).
@@ -187,6 +193,35 @@ impl SearchStats {
         self.zonotope_ns = self.zonotope_ns.saturating_add(other.zonotope_ns);
         self.exact_ns = self.exact_ns.saturating_add(other.exact_ns);
         self.depth_high_water = self.depth_high_water.max(other.depth_high_water);
+    }
+
+    /// Books one pass of `tier` over a box: a hit when `verdict`
+    /// decided the box, a fallback when it is `Unknown`, and the pass's
+    /// nanoseconds (zero when untimed).
+    pub fn book_tier(&mut self, tier: TierKind, verdict: BoxVerdict, ns: u64) {
+        let (hits, fallbacks, elapsed) = match tier {
+            TierKind::Interval => (
+                &mut self.interval_hits,
+                &mut self.interval_fallbacks,
+                &mut self.interval_ns,
+            ),
+            TierKind::Zonotope => (
+                &mut self.zonotope_hits,
+                &mut self.zonotope_fallbacks,
+                &mut self.zonotope_ns,
+            ),
+            TierKind::Exact => (
+                &mut self.exact_decisions,
+                &mut self.exact_fallbacks,
+                &mut self.exact_ns,
+            ),
+        };
+        *elapsed = elapsed.saturating_add(ns);
+        if verdict == BoxVerdict::Unknown {
+            *fallbacks += 1;
+        } else {
+            *hits += 1;
+        }
     }
 
     /// Records a visited box's split depth into the high-water mark.

@@ -7,48 +7,44 @@ use serde::{Deserialize, Serialize};
 /// Which screening tiers route each box before exact work runs.
 ///
 /// Every tier is a sound over-approximation, so the *verdict and
-/// witness* are identical across all four settings (enforced by
+/// witness* are identical across all three settings (enforced by
 /// `tests/checker_cross_validation.rs`); only which tier pays for each
 /// box changes. Cheapest-first is the design invariant: an interval
 /// pass is one `f64` multiply-add per weight, a zonotope pass is one
 /// per weight *per tracked symbol*, exact rational propagation is
-/// gcd-heavy `i128` arithmetic.
+/// gcd-heavy `i128` arithmetic. Every screened setting starts with the
+/// interval screen, and a box the screens leave undecided splits (or,
+/// at a point, is evaluated exactly); exact propagation over boxes is
+/// the unscreened setting's tier only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ScreeningTier {
     /// Exact propagation only (the seed baseline).
     None,
     /// Outward-rounded `f64` interval screen (DESIGN.md §6).
     Interval,
-    /// Affine-form zonotope screen classifying on output differences
-    /// (DESIGN.md §10).
-    Zonotope,
-    /// Interval first, zonotope on interval-`Unknown`, exact last —
-    /// cheapest tier that can decide each box pays for it.
+    /// Interval first, then the affine-form zonotope screen classifying
+    /// on output differences (DESIGN.md §10) on interval-`Unknown`
+    /// boxes — the cheapest screen that can decide each box pays for it.
     Cascade,
 }
 
 impl ScreeningTier {
     /// Every variant, in CLI listing order.
-    pub const ALL: [ScreeningTier; 4] = [
+    pub const ALL: [ScreeningTier; 3] = [
         ScreeningTier::None,
         ScreeningTier::Interval,
-        ScreeningTier::Zonotope,
         ScreeningTier::Cascade,
     ];
 
-    /// `true` if the float-interval screen runs.
-    #[must_use]
-    pub fn uses_interval(self) -> bool {
-        matches!(self, ScreeningTier::Interval | ScreeningTier::Cascade)
-    }
-
-    /// `true` if the zonotope screen runs.
+    /// `true` if the zonotope screen runs (after the interval screen).
     #[must_use]
     pub fn uses_zonotope(self) -> bool {
-        matches!(self, ScreeningTier::Zonotope | ScreeningTier::Cascade)
+        self == ScreeningTier::Cascade
     }
 
-    /// `true` unless every box goes straight to exact propagation.
+    /// `true` if the float-interval screen runs — in every setting but
+    /// [`ScreeningTier::None`], where every box goes straight to exact
+    /// propagation.
     #[must_use]
     pub fn is_active(self) -> bool {
         self != ScreeningTier::None
@@ -60,7 +56,6 @@ impl ScreeningTier {
         match self {
             ScreeningTier::None => "none",
             ScreeningTier::Interval => "interval",
-            ScreeningTier::Zonotope => "zonotope",
             ScreeningTier::Cascade => "cascade",
         }
     }
@@ -123,28 +118,32 @@ mod tests {
             Ok(ScreeningTier::Cascade)
         );
         assert_eq!(
-            "ZONOTOPE".parse::<ScreeningTier>(),
-            Ok(ScreeningTier::Zonotope)
+            "INTERVAL".parse::<ScreeningTier>(),
+            Ok(ScreeningTier::Interval)
         );
         assert_eq!("None".parse::<ScreeningTier>(), Ok(ScreeningTier::None));
     }
 
     #[test]
     fn errors_list_every_variant() {
-        let err = "frobnicate".parse::<ScreeningTier>().unwrap_err();
-        for tier in ScreeningTier::ALL {
-            assert!(err.contains(tier.name()), "{err} lacks {}", tier.name());
+        // `zonotope` named the removed zonotope-only setting; it is an
+        // error now, not a silent default.
+        for input in ["frobnicate", "zonotope"] {
+            let err = input.parse::<ScreeningTier>().unwrap_err();
+            for tier in ScreeningTier::ALL {
+                assert!(err.contains(tier.name()), "{err} lacks {}", tier.name());
+            }
+            assert!(err.contains(input), "{err} must echo the input");
         }
-        assert!(err.contains("frobnicate"), "{err} must echo the input");
     }
 
     #[test]
     fn tier_activity_flags() {
-        assert!(ScreeningTier::Cascade.uses_interval());
+        assert!(ScreeningTier::Cascade.is_active());
         assert!(ScreeningTier::Cascade.uses_zonotope());
-        assert!(!ScreeningTier::Interval.uses_zonotope());
-        assert!(!ScreeningTier::Zonotope.uses_interval());
-        assert!(!ScreeningTier::None.is_active());
         assert!(ScreeningTier::Interval.is_active());
+        assert!(!ScreeningTier::Interval.uses_zonotope());
+        assert!(!ScreeningTier::None.is_active());
+        assert!(!ScreeningTier::None.uses_zonotope());
     }
 }

@@ -62,8 +62,9 @@ use crate::zonotope::{classify_box_zonotope, ZonotopeShadow};
 pub use fannet_search::ScreeningTier;
 /// Search statistics of the input-noise checker — since the
 /// `fannet-search` extraction this *is* the unified
-/// [`fannet_search::SearchStats`] block (the budget/exact-tier counters
-/// stay zero here; the grid search is complete and unbudgeted).
+/// [`fannet_search::SearchStats`] block (the budget and concrete-eval
+/// counters stay zero here; the grid search is complete and
+/// unbudgeted).
 pub use fannet_search::SearchStats as BabStats;
 
 /// Environment variable overriding the default worker count.
@@ -82,7 +83,6 @@ pub const THREADS_ENV: &str = "FANNET_THREADS";
 ///
 /// assert_eq!(CheckerConfig::serial_exact().screening, ScreeningTier::None);
 /// assert_eq!(CheckerConfig::cascade().screening, ScreeningTier::Cascade);
-/// assert!(CheckerConfig::zonotope().screening.uses_zonotope());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckerConfig {
@@ -110,15 +110,8 @@ impl CheckerConfig {
         }
     }
 
-    /// Zonotope screening only.
-    #[must_use]
-    pub fn zonotope() -> Self {
-        CheckerConfig {
-            screening: ScreeningTier::Zonotope,
-        }
-    }
-
-    /// The full cascade: interval → zonotope → exact.
+    /// The full cascade: interval → zonotope, splitting what neither
+    /// decides.
     #[must_use]
     pub fn cascade() -> Self {
         CheckerConfig {
@@ -322,24 +315,14 @@ impl<'n> RegionChecker<'n> {
         shadow: Option<&'n FloatShadow>,
         zonotope: Option<&'n ZonotopeShadow>,
     ) -> Self {
-        let shadow = if config.screening.uses_interval() {
-            Some(
-                shadow
-                    .map(Cow::Borrowed)
-                    .unwrap_or_else(|| Cow::Owned(FloatShadow::new(net))),
-            )
-        } else {
-            None
-        };
-        let zonotope = if config.screening.uses_zonotope() {
-            Some(
-                zonotope
-                    .map(Cow::Borrowed)
-                    .unwrap_or_else(|| Cow::Owned(ZonotopeShadow::new(net))),
-            )
-        } else {
-            None
-        };
+        let shadow = config
+            .screening
+            .is_active()
+            .then(|| shadow.map_or_else(|| Cow::Owned(FloatShadow::new(net)), Cow::Borrowed));
+        let zonotope = config
+            .screening
+            .uses_zonotope()
+            .then(|| zonotope.map_or_else(|| Cow::Owned(ZonotopeShadow::new(net)), Cow::Borrowed));
         RegionChecker {
             net,
             config,
@@ -721,7 +704,9 @@ impl SearchDomain for QueryContext<'_> {
     /// screen returned `Unknown` — the box then splits, or, at a grid
     /// point, is evaluated exactly, so `screen_fallbacks == splits +
     /// exact_evals`. `interval_*`/`zonotope_*` additionally record which
-    /// tier classified each screened box. Widths were validated at query
+    /// tier classified each screened box. The unscreened search books
+    /// its exact box tier as `exact_decisions`/`exact_fallbacks`, so
+    /// there `exact_fallbacks == splits`. Widths were validated at query
     /// entry, so propagation cannot fail.
     fn decide(
         &self,
@@ -781,7 +766,7 @@ impl SearchDomain for QueryContext<'_> {
                     .expect("widths validated at query entry");
                 classify_box(enclosure, self.label)
             });
-            stats.exact_ns = stats.exact_ns.saturating_add(ns);
+            stats.book_tier(TierKind::Exact, exact_verdict, ns);
             verdict = exact_verdict;
         }
 
@@ -859,7 +844,6 @@ mod tests {
         vec![
             CheckerConfig::serial_exact(),
             CheckerConfig::screened(),
-            CheckerConfig::zonotope(),
             CheckerConfig::cascade(),
         ]
     }
@@ -1055,8 +1039,11 @@ mod tests {
             stats.exact_evals < full_grid,
             "branch-and-bound should not degenerate to full enumeration ({stats:?})"
         );
-        // The complete grid domain never touches the budgeted counters.
-        assert_eq!(stats.exact_decisions + stats.exact_fallbacks, 0);
+        // The unscreened search books its exact box tier: each undecided
+        // non-point box splits once. The complete grid domain never
+        // touches the fault counters.
+        assert_eq!(stats.exact_fallbacks, stats.splits, "{stats:?}");
+        assert!(stats.exact_decisions > 0, "{stats:?}");
         assert_eq!(stats.concrete_evals, 0);
         assert!(!stats.budget_exhausted);
     }
@@ -1082,13 +1069,12 @@ mod tests {
         assert_eq!(CheckerConfig::serial_exact().screening, ScreeningTier::None);
         assert!(!CheckerConfig::serial_exact().screening.is_active());
         assert_eq!(CheckerConfig::screened().screening, ScreeningTier::Interval);
-        assert_eq!(CheckerConfig::zonotope().screening, ScreeningTier::Zonotope);
         assert_eq!(CheckerConfig::cascade().screening, ScreeningTier::Cascade);
         assert_eq!(
             CheckerConfig::serial_exact()
-                .with_screening(ScreeningTier::Zonotope)
+                .with_screening(ScreeningTier::Cascade)
                 .screening,
-            ScreeningTier::Zonotope
+            ScreeningTier::Cascade
         );
         assert!(default_threads() >= 1);
     }
@@ -1129,17 +1115,12 @@ mod tests {
             cascade.interval_hits + cascade.interval_fallbacks,
             "{cascade:?}"
         );
-        // Interval-only screening records no zonotope activity…
+        // Interval-only screening records no zonotope activity.
         let (_, interval) =
             find_counterexample_with(&net, &x, label, &region, &CheckerConfig::screened()).unwrap();
         assert_eq!(interval.zonotope_hits + interval.zonotope_fallbacks, 0);
         assert!(interval.interval_hits + interval.interval_fallbacks > 0);
-        // …and zonotope-only screening no interval activity.
-        let (_, zono) =
-            find_counterexample_with(&net, &x, label, &region, &CheckerConfig::zonotope()).unwrap();
-        assert_eq!(zono.interval_hits + zono.interval_fallbacks, 0);
-        assert!(zono.zonotope_hits + zono.zonotope_fallbacks > 0);
-        // The serial-exact baseline records nothing.
+        // The serial-exact baseline records no screen activity.
         let (_, base) = find_counterexample(&net, &x, label, &region).unwrap();
         assert_eq!(base.interval_hits + base.zonotope_hits, 0);
         assert_eq!(base.interval_fallbacks + base.zonotope_fallbacks, 0);
@@ -1151,12 +1132,7 @@ mod tests {
         let x = [r(9), r(8)];
         let label = net.classify(&x).unwrap();
         let region = NoiseRegion::symmetric(6, 2);
-        for config in [
-            CheckerConfig::serial_exact(),
-            CheckerConfig::screened(),
-            CheckerConfig::zonotope(),
-            CheckerConfig::cascade(),
-        ] {
+        for config in all_configs() {
             let checker = RegionChecker::new(&net, config.clone());
             let (plain, plain_stats) = checker
                 .check_region(&x, label, &region, &ExclusionSet::new())

@@ -1,9 +1,11 @@
 //! Screening-tier showdown (DESIGN.md §6/§10): the same P2 queries
-//! answered under every [`ScreeningTier`], with identical verdicts and
-//! witnesses but very different work profiles — the point of the
-//! zonotope tier is the collapse in explored branch-and-bound boxes at
-//! wide noise ranges, where interval decorrelation forces thousands of
-//! splits the affine-form output-difference classification avoids.
+//! answered under every [`ScreeningTier`] — exact propagation only, the
+//! interval screen, and the interval→zonotope cascade — with identical
+//! verdicts and witnesses but very different work profiles. The point
+//! of the cascade's zonotope tier is the collapse in explored
+//! branch-and-bound boxes at wide noise ranges, where interval
+//! decorrelation forces splits the affine-form output-difference
+//! classification avoids.
 //!
 //! ```text
 //! cargo run --release --example screening_tiers
@@ -29,12 +31,6 @@ fn main() {
          per-box work changes.\n"
     );
 
-    let tiers = [
-        ScreeningTier::None,
-        ScreeningTier::Interval,
-        ScreeningTier::Zonotope,
-        ScreeningTier::Cascade,
-    ];
     println!(
         "{:>5}  {:>9}  {:>10}  {:>7}  {:>7}  {:>11}  {:>11}  {:>8}",
         "range", "tier", "time", "boxes", "splits", "interval", "zonotope", "verdict"
@@ -42,7 +38,7 @@ fn main() {
     for delta in [10i64, 20, 30, 40, 50] {
         let region = NoiseRegion::symmetric(delta, 5);
         let mut witness = None;
-        for tier in tiers {
+        for tier in ScreeningTier::ALL {
             let config = CheckerConfig::serial_exact().with_screening(tier);
             let t = Instant::now();
             let (outcome, stats) =

@@ -72,7 +72,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   fannet train [--small] --out <model.json>
   fannet check --model <model.json> --input <v1,v2,...> --label <L> --delta <D>
-               [--screening <none|interval|zonotope|cascade>]
+               [--screening <none|interval|cascade>]
   fannet radius --model <model.json> --input <v1,v2,...> --label <L> [--max <D>]
   fannet faults --model <weight-noise|stuck-at|bit-flips|quantization>
                 [--eps <E>] [--layer <L> --neuron <N> --value <V>]
@@ -93,7 +93,7 @@ const USAGE: &str = "usage:
   fannet export-smv --model <model.json> --input <v1,v2,...> --label <L> --delta <D>
   fannet serve --model <model.json> [--once] [--threads <N>]
                [--cache-capacity <N>] [--queue-capacity <N>] [--max-line-bytes <N>]
-               [--screening <none|interval|zonotope|cascade>] [--no-screening]
+               [--screening <none|interval|cascade>] [--no-screening]
                [--slow-query-ms <MS>] [--log-level <trace|debug|info|warn|error>]
                [--trace-out <trace.json>]
     JSONL requests on stdin, one response per line on stdout, e.g.
@@ -115,7 +115,7 @@ const USAGE: &str = "usage:
     queue/service/sequence/write spans per request
   fannet listen --addr <host:port> --model <model.json> [--threads <N>]
                [--cache-capacity <N>] [--queue-capacity <N>] [--max-line-bytes <N>]
-               [--screening <none|interval|zonotope|cascade>] [--no-screening]
+               [--screening <none|interval|cascade>] [--no-screening]
                [--slow-query-ms <MS>] [--log-level <trace|debug|info|warn|error>]
                [--trace-out <trace.json>]
     the same JSONL protocol over TCP: one resident engine shared by all
@@ -853,6 +853,18 @@ mod tests {
             Ok(ScreeningTier::Interval)
         );
         assert!(parse_screening(&strings(&["--screening", "bogus"]), ScreeningTier::None).is_err());
+        // The zonotope screen runs only inside the cascade; the removed
+        // zonotope-only spelling fails with the list of valid settings.
+        assert_eq!(
+            parse_screening(
+                &strings(&["--screening", "zonotope"]),
+                ScreeningTier::Interval
+            ),
+            Err(
+                "unknown screening tier `zonotope` (expected one of: none, interval, cascade)"
+                    .to_string()
+            )
+        );
     }
 
     #[test]

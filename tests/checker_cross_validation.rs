@@ -76,11 +76,7 @@ fn capped_extraction_identical_across_tiers_on_paper_network() {
             baseline.per_input.iter().any(|i| !i.exhausted),
             "δ {delta} must reach the cap somewhere"
         );
-        for tier in [
-            ScreeningTier::Interval,
-            ScreeningTier::Zonotope,
-            ScreeningTier::Cascade,
-        ] {
+        for tier in [ScreeningTier::Interval, ScreeningTier::Cascade] {
             let report = extract(delta, &CheckerConfig::serial_exact().with_screening(tier));
             let noise = |r: &AdversarialReport| -> Vec<Vec<String>> {
                 r.per_input
@@ -161,7 +157,9 @@ fn near_boundary(
 
 /// A screened search splits every box its screens leave `Unknown` and
 /// runs exact evaluation only at grid points, so each screen fallback is
-/// exactly one split or one exact point evaluation.
+/// exactly one split or one exact point evaluation. The unscreened
+/// search splits exactly the boxes its exact interval tier leaves
+/// undecided.
 fn fallbacks_are_splits_or_point_evals(
     stats: &BabStats,
     config: &CheckerConfig,
@@ -171,6 +169,14 @@ fn fallbacks_are_splits_or_point_evals(
             stats.screen_fallbacks,
             stats.splits + stats.exact_evals,
             "fallback identity under {:?}: {:?}",
+            config,
+            stats
+        );
+    } else {
+        prop_assert_eq!(
+            stats.exact_fallbacks,
+            stats.splits,
+            "exact-tier identity under {:?}: {:?}",
             config,
             stats
         );
@@ -266,11 +272,7 @@ proptest! {
         let (p3_oracle, _) =
             check_region_exhaustive(&net, &x, label, &region, &excluded).expect("widths");
         prop_assert_eq!(noise_of(&p3_baseline), noise_of(&p3_oracle), "P3 exact vs oracle");
-        for config in [
-            CheckerConfig::screened(),
-            CheckerConfig::zonotope(),
-            CheckerConfig::cascade(),
-        ] {
+        for config in [CheckerConfig::screened(), CheckerConfig::cascade()] {
             let (out, stats) = find_counterexample_with(&net, &x, label, &region, &config)
                 .expect("widths");
             prop_assert_eq!(
@@ -417,12 +419,7 @@ proptest! {
         let region = NoiseRegion::new(vec![(lo0, hi0), (lo1, hi1)]);
         let (baseline, _) = find_counterexample(&net, &x, label, &region).expect("widths");
         let baseline_ce = baseline.counterexample().map(|c| c.noise.clone());
-        for tier in [
-            ScreeningTier::None,
-            ScreeningTier::Interval,
-            ScreeningTier::Zonotope,
-            ScreeningTier::Cascade,
-        ] {
+        for tier in ScreeningTier::ALL {
             let config = CheckerConfig::serial_exact().with_screening(tier);
             let (out, stats) = find_counterexample_with(&net, &x, label, &region, &config)
                 .expect("widths");

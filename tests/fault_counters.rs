@@ -18,6 +18,13 @@
 //! in `tests/data/paper_fault_counters.txt`. A change to the fault or
 //! joint search, its probes, screens or split rule that moves any counter
 //! of any query fails here with the query named.
+//!
+//! Every screened query also checks the product domain's box rule live:
+//! each visited box books one screen hit or one screen fallback; each
+//! fallback splits, is evaluated exactly (a point box) or gets one exact
+//! interval pass before it is abandoned; and the only other exact pass is
+//! at most one per search, on an undecided root with a continuous fault
+//! factor.
 
 use fannet::core::behavior;
 use fannet::core::casestudy::{build, CaseStudyConfig};
@@ -30,8 +37,17 @@ use fannet::verify::ScreeningTier;
 const TABLE: &str = include_str!("data/paper_fault_counters.txt");
 
 /// One table row: the query, its answer, then every non-timing counter
-/// in declaration order (`budget_exhausted` as 0/1).
-fn row(tier: ScreeningTier, query: &str, input: usize, answer: &str, stats: &FaultStats) -> String {
+/// in declaration order (`budget_exhausted` as 0/1). Checks the box
+/// rule on the counters of its `searches` (one per tolerance probe)
+/// first.
+fn row(
+    tier: ScreeningTier,
+    query: &str,
+    input: usize,
+    answer: &str,
+    searches: u64,
+    stats: &FaultStats,
+) -> String {
     let FaultStats {
         boxes_visited,
         splits,
@@ -72,11 +88,38 @@ fn row(tier: ScreeningTier, query: &str, input: usize, answer: &str, stats: &Fau
         depth_high_water,
     ];
     let counters: Vec<String> = counters.iter().map(u64::to_string).collect();
-    format!(
+    let line = format!(
         "{} {query} {input} {answer} {}",
         tier.name(),
         counters.join(" ")
-    )
+    );
+    assert_box_rule(tier, &line, searches, stats);
+    line
+}
+
+/// The product domain's box rule, checked on the counters of
+/// `searches` screened searches (the unscreened search has no screens
+/// to book).
+fn assert_box_rule(tier: ScreeningTier, query: &str, searches: u64, s: &FaultStats) {
+    if !tier.is_active() {
+        return;
+    }
+    assert_eq!(
+        s.screen_hits + s.screen_fallbacks,
+        s.boxes_visited,
+        "{query}: {s:?}"
+    );
+    // Fallbacks that neither split nor were evaluated at a point: the
+    // boxes abandoned at max_depth, and roots the exact pass decided.
+    let unsplit = s
+        .screen_fallbacks
+        .checked_sub(s.splits + s.exact_evals)
+        .unwrap_or_else(|| panic!("{query}: {s:?}"));
+    let exact_passes = s.exact_decisions + s.exact_fallbacks;
+    assert!(
+        unsplit <= exact_passes && exact_passes <= unsplit + searches,
+        "{query}: {s:?}"
+    );
 }
 
 fn noise(numer: i128) -> FaultModel {
@@ -119,7 +162,7 @@ fn paper_network_fault_counters_are_pinned() {
         for (i, x, label) in &inputs {
             for (name, model) in &models {
                 let (outcome, stats) = checker.check(x, *label, model).expect("widths");
-                got.push(row(tier, name, *i, outcome.wire_name(), &stats));
+                got.push(row(tier, name, *i, outcome.wire_name(), 1, &stats));
             }
         }
     }
@@ -136,6 +179,7 @@ fn paper_network_fault_counters_are_pinned() {
                 &name,
                 *i,
                 outcome.wire_name(),
+                1,
                 &stats,
             ));
         }
@@ -159,6 +203,7 @@ fn paper_network_fault_counters_are_pinned() {
             "tolerance",
             *i,
             &answer,
+            u64::from(tolerance.probes),
             &stats,
         ));
     }
@@ -174,6 +219,7 @@ fn paper_network_fault_counters_are_pinned() {
                 &name,
                 *i,
                 outcome.wire_name(),
+                1,
                 &stats,
             ));
         }

@@ -10,6 +10,12 @@
 //! `tests/data/paper_search_counters.txt`. A change to the search loop,
 //! the screens or the split policy that moves any counter of any query
 //! fails here with the query named.
+//!
+//! Every query also checks the box rule live: a screened search books
+//! each visited box as one screen hit or one screen fallback, splits or
+//! exactly evaluates each fallback, and never runs exact interval
+//! propagation over a box; the unscreened search splits exactly the
+//! boxes its exact interval tier leaves undecided.
 
 use fannet::core::behavior;
 use fannet::core::casestudy::{build, CaseStudyConfig};
@@ -20,7 +26,8 @@ use fannet::verify::region::NoiseRegion;
 const TABLE: &str = include_str!("data/paper_search_counters.txt");
 
 /// One table row: the query, then every non-timing counter in
-/// declaration order (`budget_exhausted` as 0/1).
+/// declaration order (`budget_exhausted` as 0/1). Checks the box rule
+/// on the counters first.
 fn row(tier: ScreeningTier, op: &str, delta: i64, input: usize, stats: &BabStats) -> String {
     let BabStats {
         boxes_visited,
@@ -62,11 +69,36 @@ fn row(tier: ScreeningTier, op: &str, delta: i64, input: usize, stats: &BabStats
         depth_high_water,
     ];
     let counters: Vec<String> = counters.iter().map(u64::to_string).collect();
-    format!(
+    let line = format!(
         "{} {op} {delta} {input} {}",
         tier.name(),
         counters.join(" ")
-    )
+    );
+    assert_box_rule(tier, &line, stats);
+    line
+}
+
+/// The input-noise box rule, checked on one query's counters.
+fn assert_box_rule(tier: ScreeningTier, query: &str, s: &BabStats) {
+    if tier.is_active() {
+        assert_eq!(
+            (s.exact_decisions, s.exact_fallbacks),
+            (0, 0),
+            "{query}: {s:?}"
+        );
+        assert_eq!(
+            s.screen_hits + s.screen_fallbacks,
+            s.boxes_visited,
+            "{query}: {s:?}"
+        );
+        assert_eq!(
+            s.screen_fallbacks,
+            s.splits + s.exact_evals,
+            "{query}: {s:?}"
+        );
+    } else {
+        assert_eq!(s.exact_fallbacks, s.splits, "{query}: {s:?}");
+    }
 }
 
 #[test]

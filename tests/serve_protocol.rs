@@ -264,7 +264,7 @@ fn all_screening_tiers_match_golden_verdicts_modulo_stats() {
         .filter(|l| !l.contains("\"op\":\"stats\""))
         .map(stable)
         .collect();
-    for tier in ["none", "interval", "zonotope", "cascade"] {
+    for tier in ["none", "interval", "cascade"] {
         let (stdout, stderr, ok) = run_serve(
             &["--once", "--threads", "1", "--screening", tier],
             &requests,
