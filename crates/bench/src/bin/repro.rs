@@ -24,9 +24,11 @@ use fannet_data::golub::{L0_AML, L1_ALL};
 use fannet_data::mrmr::{select_by_variance, select_mrmr, select_random, MrmrScheme};
 use fannet_data::normalize::Affine;
 use fannet_engine::{Answer, Engine, EngineConfig, EngineStats, Query, QueryKind};
-use fannet_faults::{FaultChecker, FaultCheckerConfig, FaultStats};
+use fannet_faults::{
+    FaultChecker, FaultCheckerConfig, FaultModel, FaultRegion, FaultStats, ProductRegion,
+};
 use fannet_nn::{fold, init, quantize, train, Activation};
-use fannet_numeric::FloatInterval;
+use fannet_numeric::{FloatInterval, Rational};
 use fannet_server::session::{answer_lines, SessionConfig};
 use fannet_server::tcp::serve_tcp;
 use fannet_smv::statespace::{growth_table, PaperFsm};
@@ -37,6 +39,7 @@ use fannet_verify::bab::{
 use fannet_verify::noise::ExclusionSet;
 use fannet_verify::propagate::FloatShadow;
 use fannet_verify::region::NoiseRegion;
+use fannet_verify::zonotope::ZonotopeShadow;
 use fannet_verify::TierTimer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -217,10 +220,29 @@ struct JointAblationRow {
 struct FloatScreenReport {
     /// Boxes screened per pass.
     boxes: usize,
-    /// Median over [`FLOAT_SCREEN_PASSES`] passes of ns per box.
+    /// Median over [`SCREEN_PASSES`] passes of ns per box.
     ns_per_box: f64,
     /// 64-bit FNV-1a over the bits of every output endpoint, as 16 hex
     /// digits: the kernel's output, which must not change with its speed.
+    digest: String,
+}
+
+/// The product domain's two screens, the fault box's float network and
+/// `FaultRegion::zonotope_outputs`, timed alone on a fixed frontier of
+/// the paper network: each test input × the first
+/// [`FAULT_SCREEN_FRONTIER`] boxes of a breadth-first `ProductRegion`
+/// split of ±2 % input noise × weight noise 6/100.
+#[derive(Serialize)]
+struct FaultScreenReport {
+    /// Boxes screened per pass.
+    boxes: usize,
+    /// Median over [`SCREEN_PASSES`] passes of ns per box, float screen.
+    interval_ns_per_box: f64,
+    /// The same for the zonotope screen.
+    zonotope_ns_per_box: f64,
+    /// 64-bit FNV-1a over the bits of every float output endpoint and of
+    /// every zonotope output's center, coefficients and error, as 16 hex
+    /// digits.
     digest: String,
 }
 
@@ -234,6 +256,7 @@ struct FloatScreenReport {
 #[derive(Serialize)]
 struct AblationReport {
     float_screen: FloatScreenReport,
+    fault_screen: FaultScreenReport,
     checker_ablation: Vec<AblationRow>,
     zonotope_ablation: Vec<ZonotopeAblationRow>,
     tier_attribution: Vec<TierAttributionRow>,
@@ -246,8 +269,49 @@ struct AblationReport {
 
 /// Boxes per test input in the float-screen frontier.
 const FLOAT_SCREEN_FRONTIER: usize = 512;
-/// Timed passes over the frontier; the report keeps the median.
-const FLOAT_SCREEN_PASSES: usize = 11;
+/// Boxes per test input in the fault-screen frontier.
+const FAULT_SCREEN_FRONTIER: usize = 16;
+/// Timed passes over a screen's frontier; the report keeps the median.
+const SCREEN_PASSES: usize = 11;
+
+/// The first `len` boxes of a breadth-first split of `root`.
+fn breadth_first<R>(root: R, len: usize, split: impl Fn(&R) -> Option<(R, R)>) -> Vec<R> {
+    let mut frontier = Vec::with_capacity(len);
+    let mut queue = VecDeque::from([root]);
+    while frontier.len() < len {
+        let region = queue.pop_front().expect("the root splits into more boxes");
+        if let Some((left, right)) = split(&region) {
+            queue.push_back(left);
+            queue.push_back(right);
+        }
+        frontier.push(region);
+    }
+    frontier
+}
+
+/// One 64-bit FNV-1a step over the little-endian bytes of `v`'s bits.
+fn fnv1a(mut digest: u64, v: f64) -> u64 {
+    for byte in v.to_bits().to_le_bytes() {
+        digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    digest
+}
+
+/// The FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Median over [`SCREEN_PASSES`] timed runs of `pass`, in ns per box.
+fn median_ns_per_box(boxes: usize, mut pass: impl FnMut()) -> f64 {
+    let mut ns_per_box: Vec<f64> = (0..SCREEN_PASSES)
+        .map(|_| {
+            let t = Instant::now();
+            pass();
+            t.elapsed().as_nanos() as f64 / boxes as f64
+        })
+        .collect();
+    ns_per_box.sort_by(f64::total_cmp);
+    ns_per_box[SCREEN_PASSES / 2]
+}
 
 /// Times the float screen alone, without the search loop around it.
 fn float_screen_report() -> FloatScreenReport {
@@ -255,49 +319,96 @@ fn float_screen_report() -> FloatScreenReport {
     let queries: Vec<(Vec<FloatInterval>, Vec<NoiseRegion>)> = fannet_bench::paper_test_inputs()
         .iter()
         .map(|x| {
-            let mut frontier = Vec::with_capacity(FLOAT_SCREEN_FRONTIER);
-            let mut queue = VecDeque::from([NoiseRegion::symmetric(30, x.len())]);
-            while frontier.len() < FLOAT_SCREEN_FRONTIER {
-                let region = queue.pop_front().expect("±30 % splits into more boxes");
-                if let Some((left, right)) = region.split() {
-                    queue.push_back(left);
-                    queue.push_back(right);
-                }
-                frontier.push(region);
-            }
+            let root = NoiseRegion::symmetric(30, x.len());
+            let frontier = breadth_first(root, FLOAT_SCREEN_FRONTIER, NoiseRegion::split);
             (FloatShadow::enclose_input(x), frontier)
         })
         .collect();
     let boxes = queries.iter().map(|(_, frontier)| frontier.len()).sum();
 
     // The first pass hashes the outputs (and warms the caches).
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = FNV_OFFSET;
     for (x, frontier) in &queries {
         for region in frontier {
             for iv in shadow.output_intervals(x, region) {
-                for endpoint in [iv.lo(), iv.hi()] {
-                    for byte in endpoint.to_bits().to_le_bytes() {
-                        digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-                    }
-                }
+                digest = fnv1a(fnv1a(digest, iv.lo()), iv.hi());
             }
         }
     }
-    let mut ns_per_box: Vec<f64> = (0..FLOAT_SCREEN_PASSES)
-        .map(|_| {
-            let t = Instant::now();
-            for (x, frontier) in &queries {
-                for region in frontier {
-                    black_box(shadow.output_intervals(x, black_box(region)));
-                }
+    let ns_per_box = median_ns_per_box(boxes, || {
+        for (x, frontier) in &queries {
+            for region in frontier {
+                black_box(shadow.output_intervals(x, black_box(region)));
             }
-            t.elapsed().as_nanos() as f64 / boxes as f64
-        })
-        .collect();
-    ns_per_box.sort_by(f64::total_cmp);
+        }
+    });
     FloatScreenReport {
         boxes,
-        ns_per_box: ns_per_box[FLOAT_SCREEN_PASSES / 2],
+        ns_per_box,
+        digest: format!("{digest:016x}"),
+    }
+}
+
+/// Times the product domain's two screens alone. The frontier is built
+/// with `ProductRegion::split`, so its boxes carry split-time encodings.
+fn fault_screen_report() -> FaultScreenReport {
+    let net = &paper_study().exact_net;
+    let model = FaultModel::WeightNoise {
+        rel_eps: Rational::new(6, 100),
+    };
+    let fault = FaultRegion::lift(net, &model).expect("in-domain model");
+    let root = ProductRegion::new(NoiseRegion::symmetric(2, net.inputs()), fault);
+    let frontier = breadth_first(root, FAULT_SCREEN_FRONTIER, ProductRegion::split);
+    let inputs: Vec<_> = fannet_bench::paper_test_inputs()
+        .iter()
+        .map(|x| {
+            (
+                FloatShadow::enclose_input(x),
+                ZonotopeShadow::enclose_input(x),
+            )
+        })
+        .collect();
+    let boxes = inputs.len() * frontier.len();
+    let interval = |x: &[FloatInterval], region: &ProductRegion| {
+        region
+            .fault
+            .float_shadow()
+            .output_intervals(x, &region.noise)
+    };
+    let zonotope =
+        |x: &[(f64, f64)], region: &ProductRegion| region.fault.zonotope_outputs(x, &region.noise);
+
+    let mut digest = FNV_OFFSET;
+    for (xf, xz) in &inputs {
+        for region in &frontier {
+            for iv in interval(xf, region) {
+                digest = fnv1a(fnv1a(digest, iv.lo()), iv.hi());
+            }
+            for form in zonotope(xz, region) {
+                digest = fnv1a(digest, form.center());
+                digest = form.coeffs().iter().fold(digest, |d, &c| fnv1a(d, c));
+                digest = fnv1a(digest, form.err());
+            }
+        }
+    }
+    let interval_ns_per_box = median_ns_per_box(boxes, || {
+        for (xf, _) in &inputs {
+            for region in &frontier {
+                black_box(interval(xf, black_box(region)));
+            }
+        }
+    });
+    let zonotope_ns_per_box = median_ns_per_box(boxes, || {
+        for (_, xz) in &inputs {
+            for region in &frontier {
+                black_box(zonotope(xz, black_box(region)));
+            }
+        }
+    });
+    FaultScreenReport {
+        boxes,
+        interval_ns_per_box,
+        zonotope_ns_per_box,
         digest: format!("{digest:016x}"),
     }
 }
@@ -1021,8 +1132,17 @@ fn queue_attribution_report() -> Vec<QueueAttributionRow> {
 fn run_bench_json(path: &str) {
     let float_screen = float_screen_report();
     println!(
-        "float screen: {} boxes  {:>7.1} ns/box (median of {FLOAT_SCREEN_PASSES} passes)  digest {}",
+        "float screen: {} boxes  {:>7.1} ns/box (median of {SCREEN_PASSES} passes)  digest {}",
         float_screen.boxes, float_screen.ns_per_box, float_screen.digest,
+    );
+    let fault_screen = fault_screen_report();
+    println!(
+        "fault screens: {} boxes  interval {:>9.1} ns/box  zonotope {:>9.1} ns/box \
+         (median of {SCREEN_PASSES} passes)  digest {}",
+        fault_screen.boxes,
+        fault_screen.interval_ns_per_box,
+        fault_screen.zonotope_ns_per_box,
+        fault_screen.digest,
     );
 
     println!("\nchecker ablation (screening tiers)");
@@ -1196,6 +1316,7 @@ fn run_bench_json(path: &str) {
 
     let json = serde_json::to_string_pretty(&AblationReport {
         float_screen,
+        fault_screen,
         checker_ablation: rows,
         zonotope_ablation: zonotope,
         tier_attribution: attribution,

@@ -28,21 +28,22 @@
 //! factor.
 
 use fannet_nn::Network;
-use fannet_numeric::{Interval, Rational};
+use fannet_numeric::{FloatInterval, Interval, Rational};
 use fannet_search::{
     BoxDecision, Cascade, Classifier, SearchDomain, SearchOutcome, SearchStats, TierKind,
     TierTimer, ToleranceSearch,
 };
 use fannet_verify::noise::NoiseVector;
+use fannet_verify::propagate::FloatShadow;
 use fannet_verify::region::NoiseRegion;
+use fannet_verify::zonotope::ZonotopeShadow;
 
 use crate::checker::{
     lift_is_exact, probe_concrete, validate_query, FaultCheckerConfig, FaultOutcome, FaultWitness,
 };
 use crate::model::FaultModel;
 use crate::propagate::{
-    classify_box, classify_box_float, classify_box_zonotope, enclose_input, enclose_input_float,
-    BoxVerdict,
+    classify_box, classify_box_float, classify_box_zonotope, enclose_input, BoxVerdict,
 };
 use crate::region::{FaultRegion, FaultedNetwork};
 
@@ -232,8 +233,14 @@ impl JointChecker {
         }
 
         // Screens cheapest first; none at all under `ScreeningTier::None`.
-        let interval = JointIntervalScreen { x, label };
-        let zonotope = JointZonotopeScreen { x, label };
+        let interval = JointIntervalScreen {
+            x: FloatShadow::enclose_input(x),
+            label,
+        };
+        let zonotope = JointZonotopeScreen {
+            x: ZonotopeShadow::enclose_input(x),
+            label,
+        };
         let mut screens: Vec<&dyn Classifier<ProductRegion>> = Vec::new();
         if self.config.screening.is_active() {
             screens.push(&interval);
@@ -373,38 +380,38 @@ impl JointChecker {
 // The product-domain search
 // ---------------------------------------------------------------------------
 
-/// Float-interval tier over product boxes: the noise factor changes per
-/// box, so the input enclosure is recomputed per classification.
-struct JointIntervalScreen<'a> {
-    x: &'a [Rational],
+/// Float-interval tier over product boxes: the fault factor's float
+/// network on the float-encoded input under the box's noise factor.
+struct JointIntervalScreen {
+    x: Vec<FloatInterval>,
     label: usize,
 }
 
-impl Classifier<ProductRegion> for JointIntervalScreen<'_> {
+impl Classifier<ProductRegion> for JointIntervalScreen {
     fn tier(&self) -> TierKind {
         TierKind::Interval
     }
     fn classify(&self, region: &ProductRegion) -> BoxVerdict {
-        let enclosure = enclose_input_float(self.x, &region.noise);
-        classify_box_float(&region.fault.float_outputs(&enclosure), self.label)
+        let float = &region.fault.float;
+        classify_box_float(&float.output_intervals(&self.x, &region.noise), self.label)
     }
 }
 
 /// Zonotope tier over product boxes: shared symbols per input node and
 /// per faulted parameter, so correlations cancel in output differences
 /// across *both* factors.
-struct JointZonotopeScreen<'a> {
-    x: &'a [Rational],
+struct JointZonotopeScreen {
+    x: Vec<(f64, f64)>,
     label: usize,
 }
 
-impl Classifier<ProductRegion> for JointZonotopeScreen<'_> {
+impl Classifier<ProductRegion> for JointZonotopeScreen {
     fn tier(&self) -> TierKind {
         TierKind::Zonotope
     }
     fn classify(&self, region: &ProductRegion) -> BoxVerdict {
         classify_box_zonotope(
-            &region.fault.zonotope_outputs(self.x, &region.noise),
+            &region.fault.zonotope_outputs(&self.x, &region.noise),
             self.label,
         )
     }

@@ -11,11 +11,11 @@
 //! * [`model`] — the [`FaultModel`] taxonomy: relative weight noise,
 //!   stuck-at neurons, bit flips, quantization error.
 //! * [`region`] — the fault space as a box of per-parameter
-//!   [`Interval`](fannet_numeric::Interval)s ([`FaultRegion`]), plus
-//!   concrete [`FaultedNetwork`] assignments drawn from it.
+//!   [`Interval`](fannet_numeric::Interval)s ([`FaultRegion`]) with the
+//!   `f64` encodings its screens read, plus concrete [`FaultedNetwork`]s.
 //! * [`propagate`] — the interval-weight propagators: exact rational
-//!   intervals, an outward-rounded [`FloatInterval`](fannet_numeric::FloatInterval)
-//!   fast screen, and a zonotope tier that gives every faulted weight its
+//!   intervals, the input-noise float screen's kernel over the region's
+//!   enclosures, and a zonotope tier that gives every faulted weight its
 //!   own shared noise symbol so correlated faults cancel in output
 //!   differences — the fault-space mirror of the input-noise cascade.
 //! * [`joint`] — the one fault search: the joint input×weight product

@@ -4,11 +4,11 @@
 //! Three tiers mirror the input-noise cascade of `fannet-verify`,
 //! cheapest first:
 //!
-//! 1. **float** ([`FaultRegion::float_outputs`]) — outward-rounded
-//!    [`FloatInterval`] weights via the audited
-//!    [`FloatInterval::mul_interval`]; every stored interval encloses the
-//!    exact one, every transformer is outward-rounded, so verdicts are
-//!    sound proofs exactly as in the input-noise float tier.
+//! 1. **float** ([`FaultRegion::float_shadow`]) — the input-noise float
+//!    tier's kernel over outward-rounded [`FloatInterval`] parameter
+//!    enclosures; every stored interval encloses the exact one, every
+//!    transformer is outward-rounded, so verdicts are sound proofs
+//!    exactly as in the input-noise float tier.
 //! 2. **zonotope** ([`FaultRegion::zonotope_outputs`]) — every *faulted*
 //!    parameter carries **its own shared noise symbol**: the exact
 //!    deviation `δ = ŵ − center` is encoded as `radius·ε_w` plus an error
@@ -24,6 +24,10 @@
 //!    input-noise domain it is the box tier of the unscreened search
 //!    only; screened searches split what the first two leave undecided.
 //!
+//! The first two read `f64` encodings the region makes with its exact
+//! intervals, and an input encoded once per query: no rational is
+//! converted per box.
+//!
 //! Soundness of every tier: for any [`FaultedNetwork`] drawn from the
 //! region and any noise vector in the input box, each neuron's concrete
 //! value lies inside the propagated enclosure (interval transformers are
@@ -33,7 +37,6 @@
 
 use fannet_numeric::affine::{enclose_rational, ulp_gap};
 use fannet_numeric::{AffineForm, FloatInterval, Interval, Rational};
-use fannet_verify::propagate::float_factor;
 use fannet_verify::region::NoiseRegion;
 use fannet_verify::zonotope::{input_form, relu_form};
 
@@ -57,22 +60,6 @@ pub fn enclose_input(x: &[Rational], noise: &NoiseRegion) -> Vec<Interval> {
     x.iter()
         .enumerate()
         .map(|(k, &xk)| Interval::point(xk).mul_interval(&noise.factor_interval(k)))
-        .collect()
-}
-
-/// Outward-rounded float enclosure of the same input box.
-///
-/// # Panics
-///
-/// Panics if widths disagree.
-#[must_use]
-pub fn enclose_input_float(x: &[Rational], noise: &NoiseRegion) -> Vec<FloatInterval> {
-    assert_eq!(x.len(), noise.nodes(), "input/noise width mismatch");
-    x.iter()
-        .zip(noise.ranges())
-        .map(|(&xk, &(lo, hi))| {
-            FloatInterval::from_rational_point(xk).mul_interval(&float_factor(lo, hi))
-        })
         .collect()
 }
 
@@ -105,36 +92,8 @@ impl FaultRegion {
         acts
     }
 
-    /// Float-tier propagation (the cheap screen): same enclosure
-    /// guarantee as [`FaultRegion::output_intervals`], computed entirely
-    /// in outward-rounded `f64` interval arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x_enclosure` does not match the input width.
-    #[must_use]
-    pub fn float_outputs(&self, x_enclosure: &[FloatInterval]) -> Vec<FloatInterval> {
-        assert_eq!(x_enclosure.len(), self.inputs, "input width mismatch");
-        let mut acts = x_enclosure.to_vec();
-        for layer in &self.layers {
-            let mut next = Vec::with_capacity(layer.rows);
-            for r in 0..layer.rows {
-                let row = &layer.weights[r * layer.cols..(r + 1) * layer.cols];
-                let mut z = float_iv(&layer.biases[r]);
-                for (w, a) in row.iter().zip(&acts) {
-                    z = z.add(&float_iv(w).mul_interval(a));
-                }
-                next.push(apply_float(layer.activation, z));
-            }
-            for &(neuron, value) in &layer.stuck {
-                next[neuron] = FloatInterval::from_rational_point(value);
-            }
-            acts = next;
-        }
-        acts
-    }
-
-    /// Zonotope-tier propagation: one shared noise symbol per faulted
+    /// Zonotope-tier propagation of an input encoded by
+    /// `ZonotopeShadow::enclose_input`: one shared noise symbol per faulted
     /// parameter (allocated in propagation order — per neuron its bias,
     /// then its weights — after the input symbols `0..inputs`), fresh
     /// symbols for unstable `ReLU` neurons after all fault symbols.
@@ -143,7 +102,7 @@ impl FaultRegion {
     ///
     /// Panics if widths disagree.
     #[must_use]
-    pub fn zonotope_outputs(&self, x: &[Rational], noise: &NoiseRegion) -> Vec<AffineForm> {
+    pub fn zonotope_outputs(&self, x: &[(f64, f64)], noise: &NoiseRegion) -> Vec<AffineForm> {
         assert_eq!(x.len(), self.inputs, "input width mismatch");
         assert_eq!(noise.nodes(), self.inputs, "noise width mismatch");
 
@@ -151,10 +110,7 @@ impl FaultRegion {
             .iter()
             .zip(noise.ranges())
             .enumerate()
-            .map(|(k, (&xk, &(lo, hi)))| {
-                let (xc, xs) = enclose_rational(xk);
-                input_form(xc, xs, lo, hi, k)
-            })
+            .map(|(k, (&(xc, xs), &(lo, hi)))| input_form(xc, xs, lo, hi, k))
             .collect();
 
         // Fault symbols precede every ReLU symbol so their ids are stable
@@ -162,20 +118,21 @@ impl FaultRegion {
         let mut fault_symbol = self.inputs;
         let mut fresh_symbol = self.inputs + self.faulted_params();
 
-        for layer in &self.layers {
+        for (layer, forms) in self.layers.iter().zip(&self.forms) {
+            let bias_at = layer.weights.len(); // `forms` runs weights, biases, stuck
             let mut next = Vec::with_capacity(layer.rows);
             for r in 0..layer.rows {
-                let row = &layer.weights[r * layer.cols..(r + 1) * layer.cols];
-                let mut z = uncertain_constant(&layer.biases[r], &mut fault_symbol);
-                for (w, a) in row.iter().zip(&acts) {
+                let row = r * layer.cols..(r + 1) * layer.cols;
+                let mut z =
+                    uncertain_constant(&layer.biases[r], forms[bias_at + r], &mut fault_symbol);
+                let weights = layer.weights[row.clone()].iter().zip(&forms[row]);
+                for ((w, &(wc, ws)), a) in weights.zip(&acts) {
                     let term = if w.is_point() {
-                        let (wc, ws) = enclose_rational(w.lo());
                         a.scale(wc, ws)
                     } else {
-                        let (wc, wr) = center_radius(w);
                         let sym = fault_symbol;
                         fault_symbol += 1;
-                        mul_uncertain(a, wc, wr, sym)
+                        mul_uncertain(a, wc, ws, sym)
                     };
                     z = z.add(&term);
                 }
@@ -188,8 +145,9 @@ impl FaultRegion {
                 };
                 next.push(out);
             }
-            for &(neuron, value) in &layer.stuck {
-                next[neuron] = AffineForm::from_rational(value);
+            let stuck = layer.stuck.iter().zip(&forms[bias_at + layer.rows..]);
+            for (&(neuron, _), &(c, s)) in stuck {
+                next[neuron] = AffineForm::from_center_slack(c, s);
             }
             acts = next;
         }
@@ -207,26 +165,27 @@ fn apply_exact(activation: fannet_nn::Activation, z: Interval) -> Interval {
     }
 }
 
-/// Float activation transformer.
-fn apply_float(activation: fannet_nn::Activation, z: FloatInterval) -> FloatInterval {
-    match activation {
-        fannet_nn::Activation::Identity => z,
-        fannet_nn::Activation::ReLU => z.relu(),
-        fannet_nn::Activation::Sigmoid => unreachable!("lift rejects non-piecewise-linear"),
+/// The `f64` encodings of an exact parameter interval, from one
+/// [`enclose_rational`] per endpoint: its outward float enclosure, and
+/// the zonotope's `(center, radius)`, or `(center, slack)` for a point.
+#[must_use]
+pub(crate) fn encode(iv: &Interval) -> (FloatInterval, (f64, f64)) {
+    let lo = enclose_rational(iv.lo());
+    let float_lo = FloatInterval::from_center_slack(lo.0, lo.1);
+    if iv.is_point() {
+        return (float_lo, lo);
     }
+    let hi = enclose_rational(iv.hi());
+    let float_hi = FloatInterval::from_center_slack(hi.0, hi.1);
+    let float = FloatInterval::new(float_lo.lo(), float_hi.hi());
+    (float, center_radius(lo, hi))
 }
 
-/// Outward float enclosure of an exact rational interval.
-fn float_iv(iv: &Interval) -> FloatInterval {
-    FloatInterval::from_rationals(iv.lo(), iv.hi())
-}
-
-/// A `(center, radius)` float cover of an exact interval:
+/// A `(center, radius)` float cover of the exact interval whose
+/// endpoints [`enclose_rational`] put at `lc ± ls` and `hc ± hs`:
 /// `[center − radius, center + radius] ⊇ [lo, hi]`, every rounded step
 /// charged upward.
-fn center_radius(iv: &Interval) -> (f64, f64) {
-    let (lc, ls) = enclose_rational(iv.lo());
-    let (hc, hs) = enclose_rational(iv.hi());
+fn center_radius((lc, ls): (f64, f64), (hc, hs): (f64, f64)) -> (f64, f64) {
     let sum = lc + hc;
     let center = sum * 0.5; // ×0.5 is exact; only `sum` rounded
     let diff = hc - lc;
@@ -239,22 +198,22 @@ fn center_radius(iv: &Interval) -> (f64, f64) {
     (center, radius)
 }
 
-/// A constant whose exact value lies in `iv`: point intervals become
-/// `center ± slack` (slack in the error term), faulted intervals carry
-/// their own shared symbol.
-fn uncertain_constant(iv: &Interval, fault_symbol: &mut usize) -> AffineForm {
+/// A constant whose exact value lies in `iv`, from its encoding
+/// `(center, spread)`: a point becomes `center ± slack` (slack in the
+/// error term), a faulted interval carries its own shared symbol.
+fn uncertain_constant(
+    iv: &Interval,
+    (c, spread): (f64, f64),
+    fault_symbol: &mut usize,
+) -> AffineForm {
+    let mut form = AffineForm::constant(c);
     if iv.is_point() {
-        let (c, s) = enclose_rational(iv.lo());
-        let mut form = AffineForm::constant(c);
-        form.add_err(s);
-        form
+        form.add_err(spread);
     } else {
-        let (c, r) = center_radius(iv);
-        let mut form = AffineForm::constant(c);
-        form.set_coeff(*fault_symbol, r);
+        form.set_coeff(*fault_symbol, spread);
         *fault_symbol += 1;
-        form
     }
+    form
 }
 
 /// `ŵ · a` for an uncertain multiplier `ŵ ∈ [wc − wr, wc + wr]` carrying
@@ -312,6 +271,8 @@ mod tests {
     use crate::model::FaultModel;
     use fannet_nn::{Activation, DenseLayer, Network, Readout};
     use fannet_tensor::Matrix;
+    use fannet_verify::propagate::FloatShadow;
+    use fannet_verify::zonotope::ZonotopeShadow;
 
     fn r(n: i128) -> Rational {
         Rational::from_integer(n)
@@ -387,7 +348,9 @@ mod tests {
         for delta in [0, 2, 5] {
             let noise = NoiseRegion::symmetric(delta, 2);
             let exact = region.output_intervals(&enclose_input(&x, &noise));
-            let float = region.float_outputs(&enclose_input_float(&x, &noise));
+            let float = region
+                .float_shadow()
+                .output_intervals(&FloatShadow::enclose_input(&x), &noise);
             for (fi, iv) in float.iter().zip(&exact) {
                 assert!(
                     fi.contains_rational(iv.lo()) && fi.contains_rational(iv.hi()),
@@ -402,7 +365,10 @@ mod tests {
         let n = net();
         let region = FaultRegion::lift(&n, &weight_noise(1, 10)).unwrap();
         let x = [r(12), r(5)];
-        let forms = region.zonotope_outputs(&x, &NoiseRegion::symmetric(0, 2));
+        let forms = region.zonotope_outputs(
+            &ZonotopeShadow::enclose_input(&x),
+            &NoiseRegion::symmetric(0, 2),
+        );
         for faulted in [region.corner_lo(), region.corner_hi(), region.midpoint()] {
             let out = faulted.forward(&x).unwrap();
             for (form, &v) in forms.iter().zip(&out) {
@@ -454,7 +420,7 @@ mod tests {
         );
         // The difference out0 − out1 keeps the hidden symbols shared:
         // its zonotope radius ≈ 2·ε·40 + ε·rad(h) + bias slack ≈ 4.5 < 5.
-        let forms = region.zonotope_outputs(&x, &noise);
+        let forms = region.zonotope_outputs(&ZonotopeShadow::enclose_input(&x), &noise);
         assert_eq!(
             classify_box_zonotope(&forms, 0),
             BoxVerdict::AlwaysCorrect,
@@ -478,11 +444,13 @@ mod tests {
         for (iv, &v) in exact.iter().zip(&concrete) {
             assert!(iv.is_point() && iv.lo() == v);
         }
-        let float = region.float_outputs(&enclose_input_float(&x, &noise));
+        let float = region
+            .float_shadow()
+            .output_intervals(&FloatShadow::enclose_input(&x), &noise);
         for (fi, &v) in float.iter().zip(&concrete) {
             assert!(fi.contains_rational(v));
         }
-        let forms = region.zonotope_outputs(&x, &noise);
+        let forms = region.zonotope_outputs(&ZonotopeShadow::enclose_input(&x), &noise);
         for (form, &v) in forms.iter().zip(&concrete) {
             let (lo, hi) = form.range();
             let vf = v.to_f64();
@@ -517,7 +485,7 @@ mod tests {
             (rq(-5, 2), rq(-1, 2)),
             (rq(1, 1_000_003), rq(1, 1_000_000)),
         ] {
-            let (c, r) = center_radius(&Interval::new(lo, hi));
+            let (c, r) = center_radius(enclose_rational(lo), enclose_rational(hi));
             let lo_f = lo.to_f64();
             let hi_f = hi.to_f64();
             assert!(

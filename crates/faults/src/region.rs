@@ -29,16 +29,36 @@
 use fannet_nn::{Activation, Network};
 use fannet_numeric::{Interval, Rational};
 use fannet_tensor::vector;
+use fannet_verify::propagate::{FloatShadow, LayerEnclosures};
 
 use crate::model::FaultModel;
+use crate::propagate::encode;
 
 /// A box of faulted parameter assignments: per-parameter exact intervals
-/// plus stuck-at output overrides.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// plus stuck-at output overrides, with the `f64` encodings the screens
+/// read. The lift encodes every parameter and each split the bisected
+/// one; the exact intervals stay the source of truth.
+#[derive(Debug, Clone)]
 pub struct FaultRegion {
     pub(crate) layers: Vec<FaultLayer>,
     pub(crate) inputs: usize,
+    pub(crate) float: FloatShadow,
+    /// The zonotope screen's encodings, per layer: of every weight
+    /// (row-major), bias and stuck-at value, in that order.
+    pub(crate) forms: Vec<Vec<(f64, f64)>>,
+    /// Non-point parameters, fixed at the lift: a bisected interval never
+    /// becomes a point.
+    faulted: usize,
 }
+
+/// Equal exact intervals; the encodings are functions of them.
+impl PartialEq for FaultRegion {
+    fn eq(&self, other: &Self) -> bool {
+        self.inputs == other.inputs && self.layers == other.layers
+    }
+}
+
+impl Eq for FaultRegion {}
 
 /// One dense layer of the lifted network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,13 +72,6 @@ pub(crate) struct FaultLayer {
     /// Post-activation overrides `(neuron, value)` — applied after the
     /// activation function, before the next layer.
     pub(crate) stuck: Vec<(usize, Rational)>,
-}
-
-/// Which parameter a split or witness refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ParamRef {
-    Weight { layer: usize, index: usize },
-    Bias { layer: usize, index: usize },
 }
 
 impl FaultRegion {
@@ -128,10 +141,35 @@ impl FaultRegion {
                 }
             })
             .collect();
-        Ok(FaultRegion {
+        Ok(FaultRegion::encoded(layers, net.inputs()))
+    }
+
+    /// The lift's encoding step: one [`encode`] per exact rational of `layers`.
+    fn encoded(layers: Vec<FaultLayer>, inputs: usize) -> FaultRegion {
+        let (mut forms, mut faulted) = (Vec::with_capacity(layers.len()), 0);
+        let enclosures = layers.iter().map(|layer| {
+            let params = layer.weights.iter().chain(&layer.biases);
+            faulted += params.clone().filter(|iv| !iv.is_point()).count();
+            let stuck_values = layer.stuck.iter().map(|&(_, v)| Interval::point(v));
+            let encoded = params.copied().chain(stuck_values).map(|iv| encode(&iv));
+            let (mut params, layer_forms): (Vec<_>, _) = encoded.unzip();
+            let stuck = params.split_off(layer.weights.len() + layer.rows);
+            let neurons = layer.stuck.iter().map(|&(neuron, _)| neuron);
+            forms.push(layer_forms);
+            LayerEnclosures {
+                params,
+                activation: layer.activation,
+                stuck: neurons.zip(stuck).collect(),
+            }
+        });
+        let float = FloatShadow::from_enclosures(inputs, enclosures.collect());
+        FaultRegion {
             layers,
-            inputs: net.inputs(),
-        })
+            inputs,
+            float,
+            forms,
+            faulted,
+        }
     }
 
     /// Number of input features of the lifted network.
@@ -149,42 +187,44 @@ impl FaultRegion {
     /// Number of parameters whose interval is not a single point.
     #[must_use]
     pub fn faulted_params(&self) -> usize {
-        self.params().filter(|(_, iv)| !iv.is_point()).count()
+        self.faulted
     }
 
     /// `true` when every parameter interval is a point — propagation is
     /// then a concrete forward pass and the region cannot be split.
     #[must_use]
     pub fn is_point(&self) -> bool {
-        self.params().all(|(_, iv)| iv.is_point())
+        self.faulted == 0
     }
 
-    /// All parameter intervals in the canonical order (per layer: weights
-    /// row-major, then biases) — the tie-break order of the split policy.
-    /// (The zonotope tier allocates its fault symbols in *propagation*
-    /// order — per neuron its bias, then its weights — which only needs
-    /// to be distinct and deterministic, not canonical.)
-    fn params(&self) -> impl Iterator<Item = (ParamRef, &Interval)> {
+    /// The float screen's network, stuck-at overrides included.
+    #[must_use]
+    pub fn float_shadow(&self) -> &FloatShadow {
+        &self.float
+    }
+
+    /// All parameter intervals with their `(layer, index)` in the canonical
+    /// order (per layer: weights row-major, then biases) — the tie-break
+    /// order of the split policy. (The zonotope tier allocates its fault
+    /// symbols in *propagation* order — per neuron its bias, then its
+    /// weights — which only needs to be distinct and deterministic, not
+    /// canonical.)
+    fn params(&self) -> impl Iterator<Item = ((usize, usize), &Interval)> {
         self.layers.iter().enumerate().flat_map(|(l, layer)| {
-            layer
-                .weights
-                .iter()
-                .enumerate()
-                .map(move |(i, iv)| (ParamRef::Weight { layer: l, index: i }, iv))
-                .chain(
-                    layer
-                        .biases
-                        .iter()
-                        .enumerate()
-                        .map(move |(i, iv)| (ParamRef::Bias { layer: l, index: i }, iv)),
-                )
+            let params = layer.weights.iter().chain(&layer.biases);
+            params.enumerate().map(move |(i, iv)| ((l, i), iv))
         })
     }
 
-    fn param_mut(&mut self, p: ParamRef) -> &mut Interval {
-        match p {
-            ParamRef::Weight { layer, index } => &mut self.layers[layer].weights[index],
-            ParamRef::Bias { layer, index } => &mut self.layers[layer].biases[index],
+    /// Sets parameter `index` of layer `layer` and re-encodes it.
+    fn set_param(&mut self, (layer, index): (usize, usize), iv: Interval) {
+        let (float, form) = encode(&iv);
+        self.float.set_param(layer, index, float);
+        self.forms[layer][index] = form;
+        let exact = &mut self.layers[layer];
+        match exact.weights.get_mut(index) {
+            Some(weight) => *weight = iv,
+            None => exact.biases[index - exact.weights.len()] = iv,
         }
     }
 
@@ -197,25 +237,19 @@ impl FaultRegion {
     /// Returns `None` for point regions.
     #[must_use]
     pub fn split(&self) -> Option<(FaultRegion, FaultRegion)> {
-        let (widest, _) =
+        let (widest, iv) =
             self.params()
                 .filter(|(_, iv)| !iv.is_point())
                 .max_by(|(pa, a), (pb, b)| {
                     // Strictly-wider wins; on ties the *earlier* parameter
                     // wins, so reverse the positional order under max_by.
-                    a.width()
-                        .cmp(&b.width())
-                        .then_with(|| position_key(*pb).cmp(&position_key(*pa)))
+                    a.width().cmp(&b.width()).then_with(|| pb.cmp(pa))
                 })?;
-        let iv = match widest {
-            ParamRef::Weight { layer, index } => self.layers[layer].weights[index],
-            ParamRef::Bias { layer, index } => self.layers[layer].biases[index],
-        };
         let (lo_half, hi_half) = iv.bisect();
         let mut a = self.clone();
-        *a.param_mut(widest) = lo_half;
+        a.set_param(widest, lo_half);
         let mut b = self.clone();
-        *b.param_mut(widest) = hi_half;
+        b.set_param(widest, hi_half);
         Some((a, b))
     }
 
@@ -272,14 +306,6 @@ impl FaultRegion {
                 .collect(),
             inputs: self.inputs,
         }
-    }
-}
-
-/// Canonical position of a parameter, for deterministic tie-breaks.
-fn position_key(p: ParamRef) -> (usize, usize, usize) {
-    match p {
-        ParamRef::Weight { layer, index } => (layer, 0, index),
-        ParamRef::Bias { layer, index } => (layer, 1, index),
     }
 }
 
@@ -440,8 +466,13 @@ impl FaultedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::joint::ProductRegion;
     use fannet_nn::{DenseLayer, Readout};
     use fannet_tensor::Matrix;
+    use fannet_verify::region::NoiseRegion;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn r(n: i128) -> Rational {
         Rational::from_integer(n)
@@ -613,5 +644,95 @@ mod tests {
         f.set_bias(1, 0, r(-5));
         assert_eq!(f.bias(1, 0), r(-5));
         assert_eq!(f.layer_shapes(), vec![(6, 3), (6, 2)]);
+    }
+
+    /// A parameter k/3, k/7 or k/2^20, zero one time in six.
+    fn parameter(rng: &mut StdRng) -> Rational {
+        match rng.gen_range(0..6u32) {
+            0 => Rational::ZERO,
+            1 | 2 => Rational::new(rng.gen_range(-30i64..=30).into(), 3),
+            3 => Rational::new(rng.gen_range(-30i64..=30).into(), 7),
+            _ => Rational::new(rng.gen_range(-(1i64 << 22)..=1 << 22).into(), 1 << 20),
+        }
+    }
+
+    /// A 2- or 3-layer ReLU network of random widths and parameters.
+    fn random_net(rng: &mut StdRng) -> Network<Rational> {
+        let mut widths = vec![rng.gen_range(1..=4usize)];
+        for _ in 0..rng.gen_range(1..=2usize) {
+            widths.push(rng.gen_range(1..=5usize));
+        }
+        widths.push(rng.gen_range(2..=3usize));
+        let layers = widths
+            .windows(2)
+            .map(|pair| {
+                let rows = (0..pair[1])
+                    .map(|_| (0..pair[0]).map(|_| parameter(rng)).collect())
+                    .collect();
+                let biases = (0..pair[1]).map(|_| parameter(rng)).collect();
+                DenseLayer::new(Matrix::from_rows(rows).unwrap(), biases, Activation::ReLU).unwrap()
+            })
+            .collect();
+        Network::new(layers, Readout::MaxPool).unwrap()
+    }
+
+    fn random_model(rng: &mut StdRng, net: &Network<Rational>) -> FaultModel {
+        match rng.gen_range(0..4u32) {
+            0 => FaultModel::WeightNoise {
+                rel_eps: Rational::new(rng.gen_range(1i64..=40).into(), 100),
+            },
+            1 => FaultModel::Quantization {
+                denom_bits: rng.gen_range(1..=12),
+            },
+            2 => FaultModel::BitFlips {
+                budget: rng.gen_range(1..=3),
+            },
+            _ => {
+                let layer = rng.gen_range(0..net.layers().len());
+                FaultModel::StuckAt {
+                    layer,
+                    neuron: rng.gen_range(0..net.layers()[layer].outputs()),
+                    value: parameter(rng),
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Down random chains of product splits, every box's stored
+        /// encodings are the lift's encoding step applied to its exact
+        /// intervals. `Debug` prints each `f64` in its shortest round-trip
+        /// form, sign included, so equal strings mean equal bits.
+        #[test]
+        fn split_chains_keep_every_encoding_fresh(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let net = random_net(&mut rng);
+            for _ in 0..2 {
+                let model = random_model(&mut rng, &net);
+                let noise = NoiseRegion::new(
+                    (0..net.inputs())
+                        .map(|_| {
+                            let lo = rng.gen_range(-20i64..=20);
+                            (lo, rng.gen_range(lo..=20))
+                        })
+                        .collect(),
+                );
+                let mut region =
+                    ProductRegion::new(noise, FaultRegion::lift(&net, &model).unwrap());
+                let mut boxes = vec![region.clone()];
+                for _ in 0..12 {
+                    let Some((a, b)) = region.split() else { break };
+                    region = if rng.gen_range(0..2u32) == 0 { a.clone() } else { b.clone() };
+                    boxes.extend([a, b]);
+                }
+                for product in &boxes {
+                    let fault = &product.fault;
+                    let fresh = FaultRegion::encoded(fault.layers.clone(), fault.inputs);
+                    prop_assert_eq!(format!("{fault:?}"), format!("{fresh:?}"), "{}", model);
+                }
+            }
+        }
     }
 }

@@ -128,6 +128,13 @@ impl AffineForm {
     #[must_use]
     pub fn from_rational(v: Rational) -> Self {
         let (center, slack) = enclose_rational(v);
+        AffineForm::from_center_slack(center, slack)
+    }
+
+    /// The constant `center` with error `slack`: the enclosure of a
+    /// rational that [`enclose_rational`] put at `center ± slack`.
+    #[must_use]
+    pub fn from_center_slack(center: f64, slack: f64) -> Self {
         AffineForm {
             center,
             coeffs: Vec::new(),

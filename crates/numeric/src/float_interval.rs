@@ -97,6 +97,13 @@ impl FloatInterval {
     #[must_use]
     pub fn from_rational_point(v: Rational) -> Self {
         let (c, slack) = enclose_rational(v);
+        Self::from_center_slack(c, slack)
+    }
+
+    /// The float enclosure of a rational that [`enclose_rational`] put at
+    /// `c ± slack`: the point `c` when the conversion was exact.
+    #[must_use]
+    pub fn from_center_slack(c: f64, slack: f64) -> Self {
         if slack == 0.0 {
             FloatInterval { lo: c, hi: c }
         } else {

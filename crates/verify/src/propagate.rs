@@ -144,27 +144,35 @@ pub use fannet_search::BoxVerdict;
 /// Panics if `label >= outputs.len()`.
 #[must_use]
 pub fn classify_box(outputs: &[Interval], label: usize) -> BoxVerdict {
-    assert!(label < outputs.len(), "label {label} out of range");
-    let target = &outputs[label];
+    classify_endpoints(outputs.len(), label, |j| (outputs[j].lo(), outputs[j].hi()))
+}
+
+/// The tie-break rule of [`classify_box`] over any endpoint type, with
+/// `ends(j)` the endpoints `(lo, hi)` of output `j`.
+pub(crate) fn classify_endpoints<T: PartialOrd>(
+    outputs: usize,
+    label: usize,
+    ends: impl Fn(usize) -> (T, T),
+) -> BoxVerdict {
+    assert!(label < outputs, "label {label} out of range");
+    let (target_lo, target_hi) = ends(label);
 
     let mut always_correct = true;
-    for (j, rival) in outputs.iter().enumerate() {
-        if j == label {
-            continue;
-        }
+    for j in (0..outputs).filter(|&j| j != label) {
+        let (lo, hi) = ends(j);
         let strict_needed = j < label; // lower rival wins ties
         let dominated = if strict_needed {
-            rival.hi() < target.lo()
+            hi < target_lo
         } else {
-            rival.hi() <= target.lo()
+            hi <= target_lo
         };
         if !dominated {
             always_correct = false;
         }
         let overwhelms = if strict_needed {
-            rival.lo() >= target.hi()
+            lo >= target_hi
         } else {
-            rival.lo() > target.hi()
+            lo > target_hi
         };
         if overwhelms {
             return BoxVerdict::AlwaysWrong;
@@ -181,11 +189,11 @@ pub fn classify_box(outputs: &[Interval], label: usize) -> BoxVerdict {
 // Float screening tier (DESIGN.md §6)
 // ---------------------------------------------------------------------------
 
-/// A precomputed outward-rounded `f64` copy of a rational network — the
-/// cheap first tier of the two-tier checker.
+/// A precomputed outward-rounded `f64` copy of a network — the float
+/// screen of both search domains.
 ///
-/// Weights and biases are enclosed once per network
-/// ([`FloatShadow::new`]); the per-input enclosure is computed once per
+/// Weights and biases are enclosed once per network ([`FloatShadow::new`])
+/// or fault box ([`FloatShadow::from_enclosures`]), the input once per
 /// query ([`FloatShadow::enclose_input`]); per-box propagation
 /// ([`FloatShadow::output_intervals`]) then runs entirely in `f64`
 /// interval arithmetic, avoiding the gcd-heavy exact path for every box
@@ -209,6 +217,20 @@ struct FloatShadowLayer {
     weights: Vec<FloatInterval>,
     biases: Vec<FloatInterval>,
     activation: Activation,
+    /// Post-activation overrides `(neuron, value)` of stuck-at faults.
+    stuck: Vec<(usize, FloatInterval)>,
+}
+
+/// One layer of a [`FloatShadow`] as enclosures of its exact parameters.
+#[derive(Debug, Clone)]
+pub struct LayerEnclosures {
+    /// The weights row-major (`r * inputs + c` for output `r`, input `c`),
+    /// then the biases: the order [`FloatShadow::set_param`] indexes.
+    pub params: Vec<FloatInterval>,
+    /// The layer's activation.
+    pub activation: Activation,
+    /// Outputs `(neuron, value)` forced to `value` after the activation.
+    pub stuck: Vec<(usize, FloatInterval)>,
 }
 
 impl FloatShadow {
@@ -220,35 +242,62 @@ impl FloatShadow {
     /// condition as [`output_intervals`]).
     #[must_use]
     pub fn new(net: &Network<Rational>) -> Self {
-        assert!(
-            net.is_piecewise_linear(),
-            "float screening requires piecewise-linear activations"
-        );
-        let layers = net
-            .layers()
-            .iter()
-            .map(|layer| {
-                let w = layer.weights();
-                let weights = (0..w.cols())
-                    .flat_map(|c| {
-                        (0..w.rows()).map(move |r| FloatInterval::from_rational_point(w[(r, c)]))
-                    })
-                    .collect();
-                let biases = layer
-                    .biases()
-                    .iter()
-                    .map(|&b| FloatInterval::from_rational_point(b))
-                    .collect();
-                FloatShadowLayer {
-                    weights,
-                    biases,
-                    activation: layer.activation(),
-                }
-            })
-            .collect();
-        FloatShadow {
-            layers,
-            inputs: net.inputs(),
+        let layers = net.layers().iter().map(|layer| LayerEnclosures {
+            params: (layer.weights().as_slice().iter().chain(layer.biases()))
+                .map(|&v| FloatInterval::from_rational_point(v))
+                .collect(),
+            activation: layer.activation(),
+            stuck: Vec::new(),
+        });
+        Self::from_enclosures(net.inputs(), layers.collect())
+    }
+
+    /// Builds a shadow with `inputs` inputs from its layers' enclosures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer is not piecewise-linear, or its parameters are
+    /// not `outputs × (inputs + 1)`.
+    #[must_use]
+    pub fn from_enclosures(inputs: usize, layers: Vec<LayerEnclosures>) -> Self {
+        let mut shadow = FloatShadow {
+            layers: Vec::with_capacity(layers.len()),
+            inputs,
+        };
+        for layer in layers {
+            assert!(
+                layer.activation.is_piecewise_linear(),
+                "float screening requires piecewise-linear activations"
+            );
+            let cols = shadow.layers.last().map_or(inputs, |l| l.biases.len());
+            let (p, rows) = (&layer.params, layer.params.len() / (cols + 1));
+            assert_eq!(p.len(), rows * (cols + 1), "outputs × (inputs + 1)");
+            shadow.layers.push(FloatShadowLayer {
+                weights: (0..cols)
+                    .flat_map(|c| (0..rows).map(move |r| p[r * cols + c]))
+                    .collect(),
+                biases: p[rows * cols..].to_vec(),
+                activation: layer.activation,
+                stuck: layer.stuck,
+            });
+        }
+        shadow
+    }
+
+    /// Replaces the enclosure of parameter `index` of layer `layer`, in
+    /// [`LayerEnclosures::params`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coordinates are out of range.
+    pub fn set_param(&mut self, layer: usize, index: usize, enclosure: FloatInterval) {
+        let layer = &mut self.layers[layer];
+        let (rows, weights) = (layer.biases.len(), layer.weights.len());
+        if index < weights {
+            let (r, c) = (index / (weights / rows), index % (weights / rows));
+            layer.weights[c * rows + r] = enclosure;
+        } else {
+            layer.biases[index - weights] = enclosure;
         }
     }
 
@@ -313,7 +362,10 @@ impl FloatShadow {
             match layer.activation {
                 Activation::Identity => {}
                 Activation::ReLU => next.iter_mut().for_each(|z| *z = z.relu()),
-                Activation::Sigmoid => unreachable!("checked piecewise-linear in new()"),
+                Activation::Sigmoid => unreachable!("checked piecewise-linear at construction"),
+            }
+            for &(neuron, value) in &layer.stuck {
+                next[neuron] = value;
             }
             std::mem::swap(&mut acts, &mut next);
         }
@@ -351,37 +403,7 @@ pub fn float_factor(lo: i64, hi: i64) -> FloatInterval {
 /// Panics if `label >= outputs.len()`.
 #[must_use]
 pub fn classify_box_float(outputs: &[FloatInterval], label: usize) -> BoxVerdict {
-    assert!(label < outputs.len(), "label {label} out of range");
-    let target = &outputs[label];
-
-    let mut always_correct = true;
-    for (j, rival) in outputs.iter().enumerate() {
-        if j == label {
-            continue;
-        }
-        let strict_needed = j < label; // lower rival wins ties
-        let dominated = if strict_needed {
-            rival.hi() < target.lo()
-        } else {
-            rival.hi() <= target.lo()
-        };
-        if !dominated {
-            always_correct = false;
-        }
-        let overwhelms = if strict_needed {
-            rival.lo() >= target.hi()
-        } else {
-            rival.lo() > target.hi()
-        };
-        if overwhelms {
-            return BoxVerdict::AlwaysWrong;
-        }
-    }
-    if always_correct {
-        BoxVerdict::AlwaysCorrect
-    } else {
-        BoxVerdict::Unknown
-    }
+    classify_endpoints(outputs.len(), label, |j| (outputs[j].lo(), outputs[j].hi()))
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use fannet_nn::{Activation, Network};
 use fannet_numeric::affine::{affine_combination, enclose_rational, ulp_gap};
 use fannet_numeric::{AffineForm, Rational};
 
-use crate::propagate::BoxVerdict;
+use crate::propagate::{classify_endpoints, BoxVerdict};
 use crate::region::NoiseRegion;
 
 /// A precomputed affine-form copy of a rational network — built once per
@@ -260,30 +260,14 @@ pub fn relu_form(f: &AffineForm, next_symbol: &mut usize) -> AffineForm {
 /// Panics if `label >= outputs.len()`.
 #[must_use]
 pub fn classify_box_zonotope(outputs: &[AffineForm], label: usize) -> BoxVerdict {
-    assert!(label < outputs.len(), "label {label} out of range");
-    let target = &outputs[label];
-
-    let mut always_correct = true;
-    for (j, rival) in outputs.iter().enumerate() {
+    // Rival `j` sits at minus the target's margin over it, the target at 0.
+    classify_endpoints(outputs.len(), label, |j| {
         if j == label {
-            continue;
+            return (0.0, 0.0);
         }
-        let (dlo, dhi) = target.sub(rival).range();
-        let strict_needed = j < label; // lower rival wins ties
-        let dominated = if strict_needed { dlo > 0.0 } else { dlo >= 0.0 };
-        if !dominated {
-            always_correct = false;
-        }
-        let overwhelms = if strict_needed { dhi <= 0.0 } else { dhi < 0.0 };
-        if overwhelms {
-            return BoxVerdict::AlwaysWrong;
-        }
-    }
-    if always_correct {
-        BoxVerdict::AlwaysCorrect
-    } else {
-        BoxVerdict::Unknown
-    }
+        let (dlo, dhi) = outputs[label].sub(&outputs[j]).range();
+        (-dhi, -dlo)
+    })
 }
 
 #[cfg(test)]

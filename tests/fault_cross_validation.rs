@@ -12,7 +12,9 @@ use fannet::faults::{
 };
 use fannet::nn::{init, quantize, Activation, Network};
 use fannet::numeric::Rational;
+use fannet::verify::propagate::FloatShadow;
 use fannet::verify::region::NoiseRegion;
+use fannet::verify::zonotope::ZonotopeShadow;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,8 +155,10 @@ proptest! {
         for model in models(eps_numer, budget) {
             let region = FaultRegion::lift(&net, &model).expect("in-domain model");
             let exact = region.output_intervals(&propagate::enclose_input(&x, &noise));
-            let float = region.float_outputs(&propagate::enclose_input_float(&x, &noise));
-            let forms = region.zonotope_outputs(&x, &noise);
+            let float = region
+                .float_shadow()
+                .output_intervals(&FloatShadow::enclose_input(&x), &noise);
+            let forms = region.zonotope_outputs(&ZonotopeShadow::enclose_input(&x), &noise);
             let mut rng = StdRng::seed_from_u64(sample_seed);
             for _ in 0..8 {
                 let faulted = sample_faulted(&net, &model, &mut rng);
