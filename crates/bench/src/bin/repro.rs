@@ -7,9 +7,9 @@
 //! ```
 //!
 //! With `--bench-json <path>` the binary instead runs only the
-//! benchmarks (the float screen on a fixed frontier, the checker
-//! ablation with the screening-tier arms, and the engine and server
-//! tables) and writes the timings as JSON, so per-PR `BENCH_*.json`
+//! benchmarks (the float, zonotope and fault screens on fixed frontiers,
+//! the checker ablation with the screening-tier arms, and the engine and
+//! server tables) and writes the timings as JSON, so per-PR `BENCH_*.json`
 //! trajectories can be recorded without paying for the full experiment
 //! regeneration.
 //!
@@ -28,7 +28,7 @@ use fannet_faults::{
     FaultChecker, FaultCheckerConfig, FaultModel, FaultRegion, FaultStats, ProductRegion,
 };
 use fannet_nn::{fold, init, quantize, train, Activation};
-use fannet_numeric::{FloatInterval, Rational};
+use fannet_numeric::{AffineForm, FloatInterval, Rational};
 use fannet_server::session::{answer_lines, SessionConfig};
 use fannet_server::tcp::serve_tcp;
 use fannet_smv::statespace::{growth_table, PaperFsm};
@@ -227,11 +227,26 @@ struct FloatScreenReport {
     digest: String,
 }
 
-/// The product domain's two screens, the fault box's float network and
-/// `FaultRegion::zonotope_outputs`, timed alone on a fixed frontier of
-/// the paper network: each test input × the first
-/// [`FAULT_SCREEN_FRONTIER`] boxes of a breadth-first `ProductRegion`
-/// split of ±2 % input noise × weight noise 6/100.
+/// The per-box input-noise zonotope screen
+/// (`ZonotopeShadow::output_forms`) timed on a fixed frontier of the
+/// paper network: for each test input, the first
+/// [`ZONOTOPE_SCREEN_FRONTIER`] boxes of a breadth-first split of ±30 %.
+#[derive(Serialize)]
+struct ZonotopeScreenReport {
+    /// Boxes screened per pass.
+    boxes: usize,
+    /// Median over [`SCREEN_PASSES`] passes of ns per box.
+    ns_per_box: f64,
+    /// 64-bit FNV-1a over the bits of every output's center, coefficients
+    /// and error, as 16 hex digits.
+    digest: String,
+}
+
+/// The product domain's two screens, the fault box's float and zonotope
+/// shadows, timed alone on a fixed frontier of the paper network: each
+/// test input × the first [`FAULT_SCREEN_FRONTIER`] boxes of a
+/// breadth-first `ProductRegion` split of ±2 % input noise × weight
+/// noise 6/100.
 #[derive(Serialize)]
 struct FaultScreenReport {
     /// Boxes screened per pass.
@@ -240,10 +255,12 @@ struct FaultScreenReport {
     interval_ns_per_box: f64,
     /// The same for the zonotope screen.
     zonotope_ns_per_box: f64,
-    /// 64-bit FNV-1a over the bits of every float output endpoint and of
-    /// every zonotope output's center, coefficients and error, as 16 hex
-    /// digits.
-    digest: String,
+    /// 64-bit FNV-1a over the bits of every float output endpoint, as 16
+    /// hex digits.
+    interval_digest: String,
+    /// The same over every zonotope output's center, coefficients and
+    /// error.
+    zonotope_digest: String,
 }
 
 /// The `--bench-json` document.
@@ -256,6 +273,7 @@ struct FaultScreenReport {
 #[derive(Serialize)]
 struct AblationReport {
     float_screen: FloatScreenReport,
+    zonotope_screen: ZonotopeScreenReport,
     fault_screen: FaultScreenReport,
     checker_ablation: Vec<AblationRow>,
     zonotope_ablation: Vec<ZonotopeAblationRow>,
@@ -269,6 +287,8 @@ struct AblationReport {
 
 /// Boxes per test input in the float-screen frontier.
 const FLOAT_SCREEN_FRONTIER: usize = 512;
+/// Boxes per test input in the zonotope-screen frontier.
+const ZONOTOPE_SCREEN_FRONTIER: usize = 64;
 /// Boxes per test input in the fault-screen frontier.
 const FAULT_SCREEN_FRONTIER: usize = 16;
 /// Timed passes over a screen's frontier; the report keeps the median.
@@ -297,6 +317,15 @@ fn fnv1a(mut digest: u64, v: f64) -> u64 {
     digest
 }
 
+/// [`fnv1a`] over the bits of a form's center, coefficients and error.
+fn fnv1a_form(digest: u64, form: &AffineForm) -> u64 {
+    let digest = fnv1a(digest, form.center());
+    fnv1a(
+        form.coeffs().iter().fold(digest, |d, &c| fnv1a(d, c)),
+        form.err(),
+    )
+}
+
 /// The FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -313,18 +342,27 @@ fn median_ns_per_box(boxes: usize, mut pass: impl FnMut()) -> f64 {
     ns_per_box[SCREEN_PASSES / 2]
 }
 
-/// Times the float screen alone, without the search loop around it.
-fn float_screen_report() -> FloatScreenReport {
-    let shadow = FloatShadow::new(&paper_study().exact_net);
-    let queries: Vec<(Vec<FloatInterval>, Vec<NoiseRegion>)> = fannet_bench::paper_test_inputs()
+/// Each paper test input, encoded by `encode`, with the first `len`
+/// boxes of a breadth-first split of ±30 %; and the number of boxes.
+fn noise_frontiers<X>(
+    len: usize,
+    encode: impl Fn(&[Rational]) -> X,
+) -> (Vec<(X, Vec<NoiseRegion>)>, usize) {
+    let queries: Vec<_> = fannet_bench::paper_test_inputs()
         .iter()
         .map(|x| {
             let root = NoiseRegion::symmetric(30, x.len());
-            let frontier = breadth_first(root, FLOAT_SCREEN_FRONTIER, NoiseRegion::split);
-            (FloatShadow::enclose_input(x), frontier)
+            (encode(x), breadth_first(root, len, NoiseRegion::split))
         })
         .collect();
     let boxes = queries.iter().map(|(_, frontier)| frontier.len()).sum();
+    (queries, boxes)
+}
+
+/// Times the float screen alone, without the search loop around it.
+fn float_screen_report() -> FloatScreenReport {
+    let shadow = FloatShadow::new(&paper_study().exact_net);
+    let (queries, boxes) = noise_frontiers(FLOAT_SCREEN_FRONTIER, FloatShadow::enclose_input);
 
     // The first pass hashes the outputs (and warms the caches).
     let mut digest = FNV_OFFSET;
@@ -343,6 +381,33 @@ fn float_screen_report() -> FloatScreenReport {
         }
     });
     FloatScreenReport {
+        boxes,
+        ns_per_box,
+        digest: format!("{digest:016x}"),
+    }
+}
+
+/// Times the input-noise zonotope screen alone, as the float screen.
+fn zonotope_screen_report() -> ZonotopeScreenReport {
+    let shadow = ZonotopeShadow::new(&paper_study().exact_net);
+    let (queries, boxes) = noise_frontiers(ZONOTOPE_SCREEN_FRONTIER, ZonotopeShadow::enclose_input);
+    let mut digest = FNV_OFFSET;
+    for (x, frontier) in &queries {
+        for region in frontier {
+            digest = shadow
+                .output_forms(x, region)
+                .iter()
+                .fold(digest, fnv1a_form);
+        }
+    }
+    let ns_per_box = median_ns_per_box(boxes, || {
+        for (x, frontier) in &queries {
+            for region in frontier {
+                black_box(shadow.output_forms(x, black_box(region)));
+            }
+        }
+    });
+    ZonotopeScreenReport {
         boxes,
         ns_per_box,
         digest: format!("{digest:016x}"),
@@ -375,20 +440,22 @@ fn fault_screen_report() -> FaultScreenReport {
             .float_shadow()
             .output_intervals(x, &region.noise)
     };
-    let zonotope =
-        |x: &[(f64, f64)], region: &ProductRegion| region.fault.zonotope_outputs(x, &region.noise);
+    let zonotope = |x: &[(f64, f64)], region: &ProductRegion| {
+        region
+            .fault
+            .zonotope_shadow()
+            .output_forms(x, &region.noise)
+    };
 
-    let mut digest = FNV_OFFSET;
+    let (mut interval_digest, mut zonotope_digest) = (FNV_OFFSET, FNV_OFFSET);
     for (xf, xz) in &inputs {
         for region in &frontier {
             for iv in interval(xf, region) {
-                digest = fnv1a(fnv1a(digest, iv.lo()), iv.hi());
+                interval_digest = fnv1a(fnv1a(interval_digest, iv.lo()), iv.hi());
             }
-            for form in zonotope(xz, region) {
-                digest = fnv1a(digest, form.center());
-                digest = form.coeffs().iter().fold(digest, |d, &c| fnv1a(d, c));
-                digest = fnv1a(digest, form.err());
-            }
+            zonotope_digest = zonotope(xz, region)
+                .iter()
+                .fold(zonotope_digest, fnv1a_form);
         }
     }
     let interval_ns_per_box = median_ns_per_box(boxes, || {
@@ -409,7 +476,8 @@ fn fault_screen_report() -> FaultScreenReport {
         boxes,
         interval_ns_per_box,
         zonotope_ns_per_box,
-        digest: format!("{digest:016x}"),
+        interval_digest: format!("{interval_digest:016x}"),
+        zonotope_digest: format!("{zonotope_digest:016x}"),
     }
 }
 
@@ -1135,14 +1203,20 @@ fn run_bench_json(path: &str) {
         "float screen: {} boxes  {:>7.1} ns/box (median of {SCREEN_PASSES} passes)  digest {}",
         float_screen.boxes, float_screen.ns_per_box, float_screen.digest,
     );
+    let zonotope_screen = zonotope_screen_report();
+    println!(
+        "zonotope screen: {} boxes  {:>7.1} ns/box (median of {SCREEN_PASSES} passes)  digest {}",
+        zonotope_screen.boxes, zonotope_screen.ns_per_box, zonotope_screen.digest,
+    );
     let fault_screen = fault_screen_report();
     println!(
         "fault screens: {} boxes  interval {:>9.1} ns/box  zonotope {:>9.1} ns/box \
-         (median of {SCREEN_PASSES} passes)  digest {}",
+         (median of {SCREEN_PASSES} passes)  digests {} {}",
         fault_screen.boxes,
         fault_screen.interval_ns_per_box,
         fault_screen.zonotope_ns_per_box,
-        fault_screen.digest,
+        fault_screen.interval_digest,
+        fault_screen.zonotope_digest,
     );
 
     println!("\nchecker ablation (screening tiers)");
@@ -1316,6 +1390,7 @@ fn run_bench_json(path: &str) {
 
     let json = serde_json::to_string_pretty(&AblationReport {
         float_screen,
+        zonotope_screen,
         fault_screen,
         checker_ablation: rows,
         zonotope_ablation: zonotope,

@@ -1937,6 +1937,24 @@ mod tests {
         // Width mismatch.
         let req = query(None, vec![r(1)], 0, QueryKind::Tolerance { max_delta: 10 });
         assert!(matches!(handle(&e, &req), Response::Error { .. }));
+        // A weight-noise lift whose bounds overflow i128: a typed error,
+        // not a contained panic, in fault and joint checks alike.
+        for eps in [
+            "1/170141183460469231731687303715884105727",
+            "170141183460469231731687303715884105727",
+        ] {
+            for op in [r#""op":"fault_check""#, r#""op":"joint_check","delta":1"#] {
+                let line = format!(
+                    r#"{{{op},"id":4,"input":["100","82"],"label":0,"model":"weight-noise","eps":"{eps}"}}"#
+                );
+                let resp = handle(&e, &parse_request(&line).unwrap());
+                assert!(
+                    matches!(&resp, Response::Error { id: Some(4), message }
+                        if !message.starts_with("query aborted") && message.contains("overflow")),
+                    "{line}: {resp:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -410,10 +410,8 @@ impl Classifier<ProductRegion> for JointZonotopeScreen {
         TierKind::Zonotope
     }
     fn classify(&self, region: &ProductRegion) -> BoxVerdict {
-        classify_box_zonotope(
-            &region.fault.zonotope_outputs(&self.x, &region.noise),
-            self.label,
-        )
+        let zonotope = &region.fault.zonotope;
+        classify_box_zonotope(&zonotope.output_forms(&self.x, &region.noise), self.label)
     }
 }
 

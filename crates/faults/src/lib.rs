@@ -14,10 +14,11 @@
 //!   [`Interval`](fannet_numeric::Interval)s ([`FaultRegion`]) with the
 //!   `f64` encodings its screens read, plus concrete [`FaultedNetwork`]s.
 //! * [`propagate`] — the interval-weight propagators: exact rational
-//!   intervals, the input-noise float screen's kernel over the region's
-//!   enclosures, and a zonotope tier that gives every faulted weight its
-//!   own shared noise symbol so correlated faults cancel in output
-//!   differences — the fault-space mirror of the input-noise cascade.
+//!   intervals, and the input-noise float and zonotope screens' kernels
+//!   over the region's encodings, the zonotope giving every faulted
+//!   weight its own shared noise symbol so correlated faults cancel in
+//!   output differences — the fault-space mirror of the input-noise
+//!   cascade.
 //! * [`joint`] — the one fault search: the joint input×weight product
 //!   domain ([`ProductRegion`], [`JointChecker`]), "robust to ±δ input
 //!   noise *and* ±ε weight noise simultaneously", with both factors

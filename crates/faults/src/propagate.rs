@@ -2,21 +2,20 @@
 //! a [`FaultRegion`] (DESIGN.md §11).
 //!
 //! Three tiers mirror the input-noise cascade of `fannet-verify`,
-//! cheapest first:
+//! cheapest first, and the first two run that cascade's kernels:
 //!
 //! 1. **float** ([`FaultRegion::float_shadow`]) — the input-noise float
 //!    tier's kernel over outward-rounded [`FloatInterval`] parameter
 //!    enclosures; every stored interval encloses the exact one, every
 //!    transformer is outward-rounded, so verdicts are sound proofs
 //!    exactly as in the input-noise float tier.
-//! 2. **zonotope** ([`FaultRegion::zonotope_outputs`]) — every *faulted*
-//!    parameter carries **its own shared noise symbol**: the exact
-//!    deviation `δ = ŵ − center` is encoded as `radius·ε_w` plus an error
-//!    residue `|δ|·(deviation of the activation from its center)`. The
-//!    same `ε_w` valuation witnesses the weight everywhere its effect
+//! 2. **zonotope** ([`FaultRegion::zonotope_shadow`]) — the input-noise
+//!    zonotope tier's kernel, where every *faulted* parameter carries
+//!    **its own shared noise symbol** ([`ParamForm::Faulted`]). The same
+//!    symbol's valuation witnesses the parameter everywhere its effect
 //!    flows, so correlated fault contributions **cancel** in the pairwise
 //!    output differences [`classify_box_zonotope`] decides on — the
-//!    fault-space analogue of PR 3's input-correlation cancellation.
+//!    fault-space analogue of the input-correlation cancellation.
 //! 3. **exact** ([`FaultRegion::output_intervals`]) — exact rational
 //!    interval arithmetic with [`Interval::mul_interval`] per weight
 //!    (weights are now intervals, not constants, so the `scale` fast path
@@ -32,13 +31,13 @@
 //! region and any noise vector in the input box, each neuron's concrete
 //! value lies inside the propagated enclosure (interval transformers are
 //! inclusion-monotone; the zonotope transformer is witnessed per the
-//! [`AffineForm`] contract). Cross-validated by sampling in
+//! `AffineForm` contract). Cross-validated by sampling in
 //! `tests/fault_cross_validation.rs`.
 
 use fannet_numeric::affine::{enclose_rational, ulp_gap};
-use fannet_numeric::{AffineForm, FloatInterval, Interval, Rational};
+use fannet_numeric::{FloatInterval, Interval, Rational};
 use fannet_verify::region::NoiseRegion;
-use fannet_verify::zonotope::{input_form, relu_form};
+use fannet_verify::zonotope::ParamForm;
 
 use crate::region::{FaultRegion, FaultedNetwork};
 
@@ -91,68 +90,6 @@ impl FaultRegion {
         }
         acts
     }
-
-    /// Zonotope-tier propagation of an input encoded by
-    /// `ZonotopeShadow::enclose_input`: one shared noise symbol per faulted
-    /// parameter (allocated in propagation order — per neuron its bias,
-    /// then its weights — after the input symbols `0..inputs`), fresh
-    /// symbols for unstable `ReLU` neurons after all fault symbols.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths disagree.
-    #[must_use]
-    pub fn zonotope_outputs(&self, x: &[(f64, f64)], noise: &NoiseRegion) -> Vec<AffineForm> {
-        assert_eq!(x.len(), self.inputs, "input width mismatch");
-        assert_eq!(noise.nodes(), self.inputs, "noise width mismatch");
-
-        let mut acts: Vec<AffineForm> = x
-            .iter()
-            .zip(noise.ranges())
-            .enumerate()
-            .map(|(k, (&(xc, xs), &(lo, hi)))| input_form(xc, xs, lo, hi, k))
-            .collect();
-
-        // Fault symbols precede every ReLU symbol so their ids are stable
-        // across refinement splits of the same region shape.
-        let mut fault_symbol = self.inputs;
-        let mut fresh_symbol = self.inputs + self.faulted_params();
-
-        for (layer, forms) in self.layers.iter().zip(&self.forms) {
-            let bias_at = layer.weights.len(); // `forms` runs weights, biases, stuck
-            let mut next = Vec::with_capacity(layer.rows);
-            for r in 0..layer.rows {
-                let row = r * layer.cols..(r + 1) * layer.cols;
-                let mut z =
-                    uncertain_constant(&layer.biases[r], forms[bias_at + r], &mut fault_symbol);
-                let weights = layer.weights[row.clone()].iter().zip(&forms[row]);
-                for ((w, &(wc, ws)), a) in weights.zip(&acts) {
-                    let term = if w.is_point() {
-                        a.scale(wc, ws)
-                    } else {
-                        let sym = fault_symbol;
-                        fault_symbol += 1;
-                        mul_uncertain(a, wc, ws, sym)
-                    };
-                    z = z.add(&term);
-                }
-                let out = match layer.activation {
-                    fannet_nn::Activation::Identity => z,
-                    fannet_nn::Activation::ReLU => relu_form(&z, &mut fresh_symbol),
-                    fannet_nn::Activation::Sigmoid => {
-                        unreachable!("lift rejects non-piecewise-linear networks")
-                    }
-                };
-                next.push(out);
-            }
-            let stuck = layer.stuck.iter().zip(&forms[bias_at + layer.rows..]);
-            for (&(neuron, _), &(c, s)) in stuck {
-                next[neuron] = AffineForm::from_center_slack(c, s);
-            }
-            acts = next;
-        }
-        acts
-    }
 }
 
 /// Exact activation transformer (tight for the piecewise-linear set the
@@ -167,18 +104,20 @@ fn apply_exact(activation: fannet_nn::Activation, z: Interval) -> Interval {
 
 /// The `f64` encodings of an exact parameter interval, from one
 /// [`enclose_rational`] per endpoint: its outward float enclosure, and
-/// the zonotope's `(center, radius)`, or `(center, slack)` for a point.
+/// its zonotope form, a faulted `(center, radius)` or, for a point, a
+/// `(center, slack)`.
 #[must_use]
-pub(crate) fn encode(iv: &Interval) -> (FloatInterval, (f64, f64)) {
+pub(crate) fn encode(iv: &Interval) -> (FloatInterval, ParamForm) {
     let lo = enclose_rational(iv.lo());
     let float_lo = FloatInterval::from_center_slack(lo.0, lo.1);
     if iv.is_point() {
-        return (float_lo, lo);
+        return (float_lo, ParamForm::Point(lo.0, lo.1));
     }
     let hi = enclose_rational(iv.hi());
     let float_hi = FloatInterval::from_center_slack(hi.0, hi.1);
     let float = FloatInterval::new(float_lo.lo(), float_hi.hi());
-    (float, center_radius(lo, hi))
+    let (center, radius) = center_radius(lo, hi);
+    (float, ParamForm::Faulted(center, radius))
 }
 
 /// A `(center, radius)` float cover of the exact interval whose
@@ -196,56 +135,6 @@ fn center_radius((lc, ls): (f64, f64), (hc, hs): (f64, f64)) -> (f64, f64) {
     radius = (radius + ls.max(hs)).next_up();
     radius = (radius + ulp_gap(sum)).next_up();
     (center, radius)
-}
-
-/// A constant whose exact value lies in `iv`, from its encoding
-/// `(center, spread)`: a point becomes `center ± slack` (slack in the
-/// error term), a faulted interval carries its own shared symbol.
-fn uncertain_constant(
-    iv: &Interval,
-    (c, spread): (f64, f64),
-    fault_symbol: &mut usize,
-) -> AffineForm {
-    let mut form = AffineForm::constant(c);
-    if iv.is_point() {
-        form.add_err(spread);
-    } else {
-        form.set_coeff(*fault_symbol, spread);
-        *fault_symbol += 1;
-    }
-    form
-}
-
-/// `ŵ · a` for an uncertain multiplier `ŵ ∈ [wc − wr, wc + wr]` carrying
-/// the shared fault symbol `symbol`.
-///
-/// Soundness: write the exact multiplier as `ŵ = wc + δ` with
-/// `|δ| ≤ wr`, and let `v = a(ε, e)` be the exact multiplicand under the
-/// shared valuation. Then
-///
-/// ```text
-/// ŵ·v = wc·v + δ·center(a) + δ·(v − center(a))
-/// ```
-///
-/// — the first term is [`AffineForm::scale`] (rounding charged there),
-/// the second is `(wr·center(a))·ε_w` with `ε_w = δ/wr ∈ [−1, 1]` a
-/// **single shared valuation** (each parameter is multiplied exactly
-/// once per propagation, so one `ε_w` witnesses every occurrence of its
-/// effect downstream), and the third is bounded by `wr·radius(a)`,
-/// absorbed into the error term. Each rounded operation charges its
-/// [`ulp_gap`]; upward rounding keeps the charges sound.
-fn mul_uncertain(a: &AffineForm, wc: f64, wr: f64, symbol: usize) -> AffineForm {
-    let mut out = a.scale(wc, 0.0);
-    if wr > 0.0 {
-        let t = wr * a.center();
-        out.set_coeff(symbol, t);
-        out.add_err(ulp_gap(t));
-        let rad = a.radius();
-        if rad > 0.0 {
-            out.add_err((wr * rad).next_up());
-        }
-    }
-    out
 }
 
 /// `true` if every output of `faulted` on `x` lies inside the matching
@@ -365,7 +254,7 @@ mod tests {
         let n = net();
         let region = FaultRegion::lift(&n, &weight_noise(1, 10)).unwrap();
         let x = [r(12), r(5)];
-        let forms = region.zonotope_outputs(
+        let forms = region.zonotope_shadow().output_forms(
             &ZonotopeShadow::enclose_input(&x),
             &NoiseRegion::symmetric(0, 2),
         );
@@ -420,7 +309,9 @@ mod tests {
         );
         // The difference out0 − out1 keeps the hidden symbols shared:
         // its zonotope radius ≈ 2·ε·40 + ε·rad(h) + bias slack ≈ 4.5 < 5.
-        let forms = region.zonotope_outputs(&ZonotopeShadow::enclose_input(&x), &noise);
+        let forms = region
+            .zonotope_shadow()
+            .output_forms(&ZonotopeShadow::enclose_input(&x), &noise);
         assert_eq!(
             classify_box_zonotope(&forms, 0),
             BoxVerdict::AlwaysCorrect,
@@ -450,7 +341,9 @@ mod tests {
         for (fi, &v) in float.iter().zip(&concrete) {
             assert!(fi.contains_rational(v));
         }
-        let forms = region.zonotope_outputs(&ZonotopeShadow::enclose_input(&x), &noise);
+        let forms = region
+            .zonotope_shadow()
+            .output_forms(&ZonotopeShadow::enclose_input(&x), &noise);
         for (form, &v) in forms.iter().zip(&concrete) {
             let (lo, hi) = form.range();
             let vf = v.to_f64();

@@ -30,25 +30,22 @@ use fannet_nn::{Activation, Network};
 use fannet_numeric::{Interval, Rational};
 use fannet_tensor::vector;
 use fannet_verify::propagate::{FloatShadow, LayerEnclosures};
+use fannet_verify::zonotope::ZonotopeShadow;
 
 use crate::model::FaultModel;
 use crate::propagate::encode;
 
 /// A box of faulted parameter assignments: per-parameter exact intervals
 /// plus stuck-at output overrides, with the `f64` encodings the screens
-/// read. The lift encodes every parameter and each split the bisected
-/// one; the exact intervals stay the source of truth.
+/// read, one shadow network per screen. The lift encodes every parameter
+/// and each split the bisected one; the exact intervals stay the source
+/// of truth.
 #[derive(Debug, Clone)]
 pub struct FaultRegion {
     pub(crate) layers: Vec<FaultLayer>,
     pub(crate) inputs: usize,
     pub(crate) float: FloatShadow,
-    /// The zonotope screen's encodings, per layer: of every weight
-    /// (row-major), bias and stuck-at value, in that order.
-    pub(crate) forms: Vec<Vec<(f64, f64)>>,
-    /// Non-point parameters, fixed at the lift: a bisected interval never
-    /// becomes a point.
-    faulted: usize,
+    pub(crate) zonotope: ZonotopeShadow,
 }
 
 /// Equal exact intervals; the encodings are functions of them.
@@ -90,32 +87,34 @@ impl FaultRegion {
             return Err("fault verification requires piecewise-linear activations".to_string());
         }
         model.validate(net)?;
-        let lift_param = |w: Rational| -> Interval {
-            match model {
-                FaultModel::WeightNoise { rel_eps } => {
-                    let radius = *rel_eps * w.abs();
-                    Interval::new(w - radius, w + radius)
-                }
-                FaultModel::StuckAt { .. } => Interval::point(w),
-                FaultModel::BitFlips { budget } => {
-                    if *budget == 0 || w.is_zero() {
-                        // Flips of zero are zero (sign and exponent bits
-                        // of a zero significand do not change the value).
-                        Interval::point(w)
-                    } else {
-                        // hull{w, −w, 2w, w/2}: [−w, 2w] for positive w,
-                        // [2w, −w] for negative.
-                        let candidates = [w, -w, w + w, w * Rational::new(1, 2)];
-                        let lo = candidates.iter().copied().reduce(Rational::min).expect("4");
-                        let hi = candidates.iter().copied().reduce(Rational::max).expect("4");
-                        Interval::new(lo, hi)
-                    }
-                }
+        // Every bound is checked: an overflowing one is the model's error.
+        let lift_param = |&w: &Rational| -> Result<Interval, String> {
+            let bounds = match model {
+                FaultModel::WeightNoise { rel_eps } => rel_eps
+                    .checked_mul(w.abs())
+                    .and_then(|radius| w.checked_sub(radius).zip(w.checked_add(radius))),
+                FaultModel::StuckAt { .. } => Some((w, w)),
+                // Flips of zero are zero (sign and exponent bits of a
+                // zero significand do not change the value).
+                FaultModel::BitFlips { budget } if *budget == 0 || w.is_zero() => Some((w, w)),
+                // hull{w, −w, 2w, w/2}: [−w, 2w] for positive w, [2w, −w]
+                // for negative.
+                FaultModel::BitFlips { .. } => Rational::ZERO
+                    .checked_sub(w)
+                    .zip(w.checked_add(w))
+                    .map(|(neg, double)| (neg.min(double), neg.max(double))),
                 FaultModel::Quantization { denom_bits } => {
                     let e = FaultModel::quantization_error_bound(*denom_bits);
-                    Interval::new(w - e, w + e)
+                    w.checked_sub(e).zip(w.checked_add(e))
                 }
-            }
+            };
+            let (lo, hi) = bounds.ok_or_else(|| {
+                format!("the {model} lift of parameter {w} overflows the exact domain")
+            })?;
+            Ok(Interval::new(lo, hi))
+        };
+        let lift_all = |values: &[Rational]| -> Result<Vec<Interval>, String> {
+            values.iter().map(lift_param).collect()
         };
         let layers = net
             .layers()
@@ -131,44 +130,52 @@ impl FaultRegion {
                     } if *sl == l => vec![(*neuron, *value)],
                     _ => Vec::new(),
                 };
-                FaultLayer {
-                    weights: w.as_slice().iter().map(|&v| lift_param(v)).collect(),
+                Ok(FaultLayer {
+                    weights: lift_all(w.as_slice())?,
                     rows: w.rows(),
                     cols: w.cols(),
-                    biases: layer.biases().iter().map(|&v| lift_param(v)).collect(),
+                    biases: lift_all(layer.biases())?,
                     activation: layer.activation(),
                     stuck,
-                }
+                })
             })
-            .collect();
+            .collect::<Result<_, String>>()?;
         Ok(FaultRegion::encoded(layers, net.inputs()))
     }
 
-    /// The lift's encoding step: one [`encode`] per exact rational of `layers`.
+    /// The lift's encoding step: one [`encode`] per exact rational of
+    /// `layers`, into the float and the zonotope shadow.
     fn encoded(layers: Vec<FaultLayer>, inputs: usize) -> FaultRegion {
-        let (mut forms, mut faulted) = (Vec::with_capacity(layers.len()), 0);
-        let enclosures = layers.iter().map(|layer| {
-            let params = layer.weights.iter().chain(&layer.biases);
-            faulted += params.clone().filter(|iv| !iv.is_point()).count();
-            let stuck_values = layer.stuck.iter().map(|&(_, v)| Interval::point(v));
-            let encoded = params.copied().chain(stuck_values).map(|iv| encode(&iv));
-            let (mut params, layer_forms): (Vec<_>, _) = encoded.unzip();
-            let stuck = params.split_off(layer.weights.len() + layer.rows);
-            let neurons = layer.stuck.iter().map(|&(neuron, _)| neuron);
-            forms.push(layer_forms);
-            LayerEnclosures {
-                params,
-                activation: layer.activation,
-                stuck: neurons.zip(stuck).collect(),
-            }
-        });
-        let float = FloatShadow::from_enclosures(inputs, enclosures.collect());
+        let (float, zonotope) = layers
+            .iter()
+            .map(|layer| {
+                let params = layer.weights.iter().chain(&layer.biases);
+                let stuck = layer.stuck.iter().map(|&(neuron, v)| {
+                    let (float, form) = encode(&Interval::point(v));
+                    ((neuron, float), (neuron, form))
+                });
+                let (float_params, forms) = params.map(encode).unzip();
+                let (float_stuck, form_stuck) = stuck.unzip();
+                let activation = layer.activation;
+                (
+                    LayerEnclosures {
+                        params: float_params,
+                        activation,
+                        stuck: float_stuck,
+                    },
+                    LayerEnclosures {
+                        params: forms,
+                        activation,
+                        stuck: form_stuck,
+                    },
+                )
+            })
+            .unzip();
         FaultRegion {
             layers,
             inputs,
-            float,
-            forms,
-            faulted,
+            float: FloatShadow::from_enclosures(inputs, float),
+            zonotope: ZonotopeShadow::from_enclosures(inputs, zonotope),
         }
     }
 
@@ -187,20 +194,26 @@ impl FaultRegion {
     /// Number of parameters whose interval is not a single point.
     #[must_use]
     pub fn faulted_params(&self) -> usize {
-        self.faulted
+        self.zonotope.faulted_params()
     }
 
     /// `true` when every parameter interval is a point — propagation is
     /// then a concrete forward pass and the region cannot be split.
     #[must_use]
     pub fn is_point(&self) -> bool {
-        self.faulted == 0
+        self.faulted_params() == 0
     }
 
     /// The float screen's network, stuck-at overrides included.
     #[must_use]
     pub fn float_shadow(&self) -> &FloatShadow {
         &self.float
+    }
+
+    /// The zonotope screen's network, stuck-at overrides included.
+    #[must_use]
+    pub fn zonotope_shadow(&self) -> &ZonotopeShadow {
+        &self.zonotope
     }
 
     /// All parameter intervals with their `(layer, index)` in the canonical
@@ -220,7 +233,7 @@ impl FaultRegion {
     fn set_param(&mut self, (layer, index): (usize, usize), iv: Interval) {
         let (float, form) = encode(&iv);
         self.float.set_param(layer, index, float);
-        self.forms[layer][index] = form;
+        self.zonotope.set_param(layer, index, form);
         let exact = &mut self.layers[layer];
         match exact.weights.get_mut(index) {
             Some(weight) => *weight = iv,
@@ -702,9 +715,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Down random chains of product splits, every box's stored
-        /// encodings are the lift's encoding step applied to its exact
-        /// intervals. `Debug` prints each `f64` in its shortest round-trip
-        /// form, sign included, so equal strings mean equal bits.
+        /// encodings, in both shadows, are the lift's encoding step applied
+        /// to its exact intervals, and the zonotope shadow counts exactly
+        /// the non-point intervals as faulted. `Debug` prints each `f64` in
+        /// its shortest round-trip form, sign included, so equal strings
+        /// mean equal bits.
         #[test]
         fn split_chains_keep_every_encoding_fresh(seed in 0u64..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -730,7 +745,14 @@ mod tests {
                 for product in &boxes {
                     let fault = &product.fault;
                     let fresh = FaultRegion::encoded(fault.layers.clone(), fault.inputs);
-                    prop_assert_eq!(format!("{fault:?}"), format!("{fresh:?}"), "{}", model);
+                    for (stored, fresh) in [
+                        (format!("{:?}", fault.float), format!("{:?}", fresh.float)),
+                        (format!("{:?}", fault.zonotope), format!("{:?}", fresh.zonotope)),
+                    ] {
+                        prop_assert_eq!(stored, fresh, "{}", model);
+                    }
+                    let faulted = fault.params().filter(|(_, iv)| !iv.is_point()).count();
+                    prop_assert_eq!(fault.faulted_params(), faulted, "{}", model);
                 }
             }
         }

@@ -255,6 +255,34 @@ impl AffineForm {
     pub fn scale(&self, w: f64, w_slack: f64) -> Self {
         affine_combination([(w, w_slack, self)], 0.0, 0.0)
     }
+
+    /// `self += (w ± w_slack)·form` in place: one term of
+    /// [`affine_combination`], whose soundness argument covers it.
+    pub fn add_term(&mut self, w: f64, w_slack: f64, form: &AffineForm) {
+        // Center contribution: two rounded operations.
+        let t = w * form.center;
+        self.err = add_up(self.err, ulp_gap(t));
+        self.center += t;
+        self.err = add_up(self.err, ulp_gap(self.center));
+        // Coefficient contributions (shared symbols, index-aligned).
+        if self.coeffs.len() < form.coeffs.len() {
+            self.coeffs.resize(form.coeffs.len(), 0.0);
+        }
+        for (acc, &a) in self.coeffs.iter_mut().zip(&form.coeffs) {
+            if a == 0.0 {
+                continue;
+            }
+            let p = w * a;
+            self.err = add_up(self.err, ulp_gap(p));
+            *acc += p;
+            self.err = add_up(self.err, ulp_gap(*acc));
+        }
+        // Inherited error term and multiplier uncertainty.
+        self.err = add_up(self.err, mul_up(w.abs(), form.err));
+        if w_slack > 0.0 {
+            self.err = add_up(self.err, mul_up(w_slack, form.magnitude()));
+        }
+    }
 }
 
 /// The workhorse transformer: `Σᵢ (wᵢ ± sᵢ)·formᵢ + (bias ± bias_slack)`
@@ -272,39 +300,11 @@ pub fn affine_combination<'a, I>(terms: I, bias: f64, bias_slack: f64) -> Affine
 where
     I: IntoIterator<Item = (f64, f64, &'a AffineForm)>,
 {
-    let mut center = bias;
-    let mut err = bias_slack;
-    let mut coeffs: Vec<f64> = Vec::new();
+    let mut out = AffineForm::from_center_slack(bias, bias_slack);
     for (w, w_slack, form) in terms {
-        // Center contribution: two rounded operations.
-        let t = w * form.center;
-        err = add_up(err, ulp_gap(t));
-        center += t;
-        err = add_up(err, ulp_gap(center));
-        // Coefficient contributions (shared symbols, index-aligned).
-        if coeffs.len() < form.coeffs.len() {
-            coeffs.resize(form.coeffs.len(), 0.0);
-        }
-        for (acc, &a) in coeffs.iter_mut().zip(&form.coeffs) {
-            if a == 0.0 {
-                continue;
-            }
-            let p = w * a;
-            err = add_up(err, ulp_gap(p));
-            *acc += p;
-            err = add_up(err, ulp_gap(*acc));
-        }
-        // Inherited error term and multiplier uncertainty.
-        err = add_up(err, mul_up(w.abs(), form.err));
-        if w_slack > 0.0 {
-            err = add_up(err, mul_up(w_slack, form.magnitude()));
-        }
+        out.add_term(w, w_slack, form);
     }
-    AffineForm {
-        center,
-        coeffs,
-        err,
-    }
+    out
 }
 
 #[cfg(test)]

@@ -221,16 +221,19 @@ struct FloatShadowLayer {
     stuck: Vec<(usize, FloatInterval)>,
 }
 
-/// One layer of a [`FloatShadow`] as enclosures of its exact parameters.
+/// One layer of a shadow network as encodings of its exact parameters:
+/// [`FloatInterval`]s for a [`FloatShadow`],
+/// [`ParamForm`](crate::zonotope::ParamForm)s for a
+/// [`ZonotopeShadow`](crate::zonotope::ZonotopeShadow).
 #[derive(Debug, Clone)]
-pub struct LayerEnclosures {
+pub struct LayerEnclosures<P = FloatInterval> {
     /// The weights row-major (`r * inputs + c` for output `r`, input `c`),
     /// then the biases: the order [`FloatShadow::set_param`] indexes.
-    pub params: Vec<FloatInterval>,
+    pub params: Vec<P>,
     /// The layer's activation.
     pub activation: Activation,
     /// Outputs `(neuron, value)` forced to `value` after the activation.
-    pub stuck: Vec<(usize, FloatInterval)>,
+    pub stuck: Vec<(usize, P)>,
 }
 
 impl FloatShadow {
@@ -299,12 +302,6 @@ impl FloatShadow {
         } else {
             layer.biases[index - weights] = enclosure;
         }
-    }
-
-    /// Number of input features the shadow expects.
-    #[must_use]
-    pub fn inputs(&self) -> usize {
-        self.inputs
     }
 
     /// Per-feature float enclosure of an exact input, computed once per

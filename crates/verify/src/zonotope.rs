@@ -12,7 +12,11 @@
 //! fresh noise symbol, [`relu_form`]). Classification then happens on the
 //! zonotope of each **output difference** ([`classify_box_zonotope`]),
 //! where the shared symbols cancel, which is what slashes the
-//! branch-and-bound split count on wide noise regions.
+//! branch-and-bound split count on wide noise regions. The fault domain
+//! screens with the same kernel: a fault box's shadow
+//! ([`ZonotopeShadow::from_enclosures`]) gives each faulted parameter a
+//! shared symbol of its own, so correlated fault contributions cancel in
+//! the same differences (DESIGN.md §11).
 //!
 //! Soundness is inherited from [`AffineForm`]'s contract (every rounded
 //! operation charges its ulp gap to the error term; rational constants
@@ -26,32 +30,41 @@
 //! `Unknown`, never less sound.
 
 use fannet_nn::{Activation, Network};
-use fannet_numeric::affine::{affine_combination, enclose_rational, ulp_gap};
+use fannet_numeric::affine::{enclose_rational, ulp_gap};
 use fannet_numeric::{AffineForm, Rational};
 
-use crate::propagate::{classify_endpoints, BoxVerdict};
+use crate::propagate::{classify_endpoints, BoxVerdict, LayerEnclosures};
 use crate::region::NoiseRegion;
 
-/// A precomputed affine-form copy of a rational network — built once per
-/// network (mirroring `propagate::FloatShadow`) and reused across every
-/// box of every query.
+/// A precomputed affine-form copy of a network — the zonotope screen of
+/// both search domains, built once per network ([`ZonotopeShadow::new`])
+/// or fault box ([`ZonotopeShadow::from_enclosures`]) and reused across
+/// every box of every query.
 ///
-/// Weights and biases are stored as `(center, slack)` pairs: the exact
-/// rational constant lies within `center ± slack`
-/// ([`enclose_rational`]), which is how exact semantics enter the `f64`
-/// zonotope domain without losing soundness.
+/// Each parameter is a [`ParamForm`]: a point, or a faulted interval that
+/// carries its own shared symbol. Symbols are numbered in propagation
+/// order: the input symbols `0..inputs`, then per neuron the fault
+/// symbols of its bias and then of its weights, then a fresh symbol per
+/// unstable `ReLU` neuron — after every fault symbol, so a fault box and
+/// its split halves number their fault symbols alike.
 #[derive(Debug, Clone)]
 pub struct ZonotopeShadow {
-    layers: Vec<ZonotopeLayer>,
+    layers: Vec<LayerEnclosures<ParamForm>>,
     inputs: usize,
+    /// Faulted parameters, whose symbols follow the input symbols.
+    faulted: usize,
 }
 
-#[derive(Debug, Clone)]
-struct ZonotopeLayer {
-    /// `weights[r][c]` encloses the exact weight of output `r`, input `c`.
-    weights: Vec<Vec<(f64, f64)>>,
-    biases: Vec<(f64, f64)>,
-    activation: Activation,
+/// The `f64` encoding of one exact network parameter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ParamForm {
+    /// `(center, slack)`: a constant within `center ± slack`
+    /// ([`enclose_rational`]), how exact semantics enter the `f64`
+    /// zonotope domain without losing soundness.
+    Point(f64, f64),
+    /// `(center, radius)`: every value of a faulted parameter's interval
+    /// lies within `center ± radius`, carried by its own shared symbol.
+    Faulted(f64, f64),
 }
 
 impl ZonotopeShadow {
@@ -63,40 +76,61 @@ impl ZonotopeShadow {
     /// condition as `propagate::output_intervals`).
     #[must_use]
     pub fn new(net: &Network<Rational>) -> Self {
+        let point = |&v: &Rational| {
+            let (center, slack) = enclose_rational(v);
+            ParamForm::Point(center, slack)
+        };
+        let layers = net.layers().iter().map(|layer| LayerEnclosures {
+            params: (layer.weights().as_slice().iter().chain(layer.biases()))
+                .map(point)
+                .collect(),
+            activation: layer.activation(),
+            stuck: Vec::new(),
+        });
+        Self::from_enclosures(net.inputs(), layers.collect())
+    }
+
+    /// Builds a shadow with `inputs` inputs from its layers' encodings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer is not piecewise-linear.
+    #[must_use]
+    pub fn from_enclosures(inputs: usize, layers: Vec<LayerEnclosures<ParamForm>>) -> Self {
         assert!(
-            net.is_piecewise_linear(),
+            layers
+                .iter()
+                .all(|layer| layer.activation.is_piecewise_linear()),
             "zonotope screening requires piecewise-linear activations"
         );
-        let layers = net
-            .layers()
-            .iter()
-            .map(|layer| {
-                let w = layer.weights();
-                let weights = (0..w.rows())
-                    .map(|r| (0..w.cols()).map(|c| enclose_rational(w[(r, c)])).collect())
-                    .collect();
-                let biases = layer
-                    .biases()
-                    .iter()
-                    .map(|&b| enclose_rational(b))
-                    .collect();
-                ZonotopeLayer {
-                    weights,
-                    biases,
-                    activation: layer.activation(),
-                }
-            })
-            .collect();
+        let params = layers.iter().flat_map(|layer| &layer.params);
+        let faulted = params
+            .filter(|p| matches!(p, ParamForm::Faulted(..)))
+            .count();
         ZonotopeShadow {
             layers,
-            inputs: net.inputs(),
+            inputs,
+            faulted,
         }
     }
 
-    /// Number of input features the shadow expects.
+    /// Replaces the encoding of parameter `index` of layer `layer`, in
+    /// [`LayerEnclosures::params`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coordinates are out of range.
+    pub fn set_param(&mut self, layer: usize, index: usize, form: ParamForm) {
+        let param = &mut self.layers[layer].params[index];
+        let faulted = |p: &ParamForm| usize::from(matches!(p, ParamForm::Faulted(..)));
+        self.faulted = self.faulted - faulted(param) + faulted(&form);
+        *param = form;
+    }
+
+    /// Number of faulted parameters.
     #[must_use]
-    pub fn inputs(&self) -> usize {
-        self.inputs
+    pub fn faulted_params(&self) -> usize {
+        self.faulted
     }
 
     /// Per-feature `(center, slack)` enclosure of an exact input, computed
@@ -107,12 +141,18 @@ impl ZonotopeShadow {
     }
 
     /// Affine-form output enclosure of the network on `x_enclosure` under
-    /// every noise vector in `region` — the zonotope counterpart of
+    /// every noise vector in `region` and every value of each faulted
+    /// parameter — the zonotope counterpart of
     /// `propagate::output_intervals`, guaranteed to enclose it under one
-    /// shared symbol valuation per noise vector.
+    /// shared symbol valuation per noise vector and parameter assignment.
     ///
-    /// Symbols `0..inputs` are the per-node input noise symbols; fresh
-    /// symbols beyond that are allocated to unstable `ReLU` neurons.
+    /// Each neuron's form is built in place: it starts at its bias, then
+    /// adds one term per input in order, [`AffineForm::add_term`] for a
+    /// point weight and `add_faulted_term` for a faulted one, so a
+    /// network of points has the bits of one [`affine_combination`] per
+    /// neuron.
+    ///
+    /// [`affine_combination`]: fannet_numeric::affine::affine_combination
     ///
     /// # Panics
     ///
@@ -126,29 +166,82 @@ impl ZonotopeShadow {
         assert_eq!(x_enclosure.len(), self.inputs, "input width mismatch");
         assert_eq!(region.nodes(), self.inputs, "region width mismatch");
 
-        let mut next_symbol = self.inputs;
         let mut acts: Vec<AffineForm> = x_enclosure
             .iter()
             .zip(region.ranges())
             .enumerate()
             .map(|(k, (&(xc, xs), &(lo, hi)))| input_form(xc, xs, lo, hi, k))
             .collect();
+        let mut fault_symbol = self.inputs;
+        let mut fresh_symbol = self.inputs + self.faulted;
 
         for layer in &self.layers {
-            let mut next = Vec::with_capacity(layer.biases.len());
-            for (row, &(bc, bs)) in layer.weights.iter().zip(&layer.biases) {
-                let z =
-                    affine_combination(row.iter().zip(&acts).map(|(&(w, s), a)| (w, s, a)), bc, bs);
-                let out = match layer.activation {
-                    Activation::Identity => z,
-                    Activation::ReLU => relu_form(&z, &mut next_symbol),
-                    Activation::Sigmoid => unreachable!("checked piecewise-linear in new()"),
+            let cols = acts.len();
+            let (weights, biases) = layer
+                .params
+                .split_at(layer.params.len() / (cols + 1) * cols);
+            let mut next = Vec::with_capacity(biases.len());
+            for (row, &bias) in weights.chunks_exact(cols).zip(biases) {
+                let mut z = match bias {
+                    ParamForm::Point(center, slack) => AffineForm::from_center_slack(center, slack),
+                    ParamForm::Faulted(center, radius) => {
+                        let z = AffineForm::with_symbol(center, fault_symbol, radius);
+                        fault_symbol += 1;
+                        z
+                    }
                 };
-                next.push(out);
+                for (&weight, a) in row.iter().zip(&acts) {
+                    match weight {
+                        ParamForm::Point(w, slack) => z.add_term(w, slack, a),
+                        ParamForm::Faulted(w, radius) => {
+                            add_faulted_term(&mut z, w, radius, fault_symbol, a);
+                            fault_symbol += 1;
+                        }
+                    }
+                }
+                next.push(match layer.activation {
+                    Activation::Identity => z,
+                    Activation::ReLU => relu_form(&z, &mut fresh_symbol),
+                    Activation::Sigmoid => unreachable!("checked piecewise-linear at construction"),
+                });
+            }
+            // A stuck value's spread, slack or radius, is all error term.
+            for &(neuron, ParamForm::Point(c, s) | ParamForm::Faulted(c, s)) in &layer.stuck {
+                next[neuron] = AffineForm::from_center_slack(c, s);
             }
             acts = next;
         }
         acts
+    }
+}
+
+/// `z += ŵ·a` for a faulted parameter `ŵ ∈ [w − radius, w + radius]`
+/// carried by the shared symbol `symbol`, which no other term mentions.
+///
+/// Soundness: write the exact parameter as `ŵ = w + δ` with
+/// `|δ| ≤ radius`, and let `v = a(ε, e)` be the exact multiplicand under
+/// the shared valuation. Then
+///
+/// ```text
+/// ŵ·v = w·v + δ·center(a) + δ·(v − center(a))
+/// ```
+///
+/// — the first term is [`AffineForm::add_term`] (rounding charged there),
+/// the second is `(radius·center(a))·ε_w` with `ε_w = δ/radius ∈ [−1, 1]`
+/// a **single shared valuation** (each parameter is multiplied exactly
+/// once per propagation, so one `ε_w` witnesses every occurrence of its
+/// effect downstream; the symbol is fresh, so its coefficient is set, not
+/// summed), and the third is bounded by `radius·radius(a)`, absorbed into
+/// the error term. Each rounded operation charges its [`ulp_gap`]; upward
+/// rounding keeps the charges sound.
+fn add_faulted_term(z: &mut AffineForm, w: f64, radius: f64, symbol: usize, a: &AffineForm) {
+    z.add_term(w, 0.0, a);
+    let t = radius * a.center();
+    z.set_coeff(symbol, t);
+    z.add_err(ulp_gap(t));
+    let rad = a.radius();
+    if rad > 0.0 {
+        z.add_err((radius * rad).next_up());
     }
 }
 
@@ -165,8 +258,8 @@ impl ZonotopeShadow {
 /// symbol always covers the true factor range (a larger coefficient only
 /// widens the enclosure).
 ///
-/// Public because `fannet-faults` builds its interval-weight zonotope
-/// propagator on the same input enclosure (DESIGN.md §11).
+/// The input step of [`ZonotopeShadow::output_forms`] in both search
+/// domains.
 #[must_use]
 pub fn input_form(xc: f64, xs: f64, lo: i64, hi: i64, symbol: usize) -> AffineForm {
     // Upward-rounded accumulation of non-negative slack magnitudes.

@@ -15,9 +15,11 @@
 //! layers included ([`FloatShadow::from_enclosures`], the fault domain's
 //! float screen).
 
-use fannet_nn::{Activation, DenseLayer, Network, Readout};
+mod common;
+
+use common::{parameter, random_net, random_region};
+use fannet_nn::{Activation, Network};
 use fannet_numeric::{FloatInterval, Rational};
-use fannet_tensor::Matrix;
 use fannet_verify::propagate::{float_factor, FloatShadow, LayerEnclosures};
 use fannet_verify::region::NoiseRegion;
 use proptest::prelude::*;
@@ -137,50 +139,6 @@ fn interval_enclosures(rng: &mut StdRng, net: &Network<Rational>) -> Vec<LayerEn
     layers
 }
 
-/// A parameter k/3, k/7 or k/2^20, zero one time in six.
-fn parameter(rng: &mut StdRng) -> Rational {
-    match rng.gen_range(0..6u32) {
-        0 => Rational::ZERO,
-        1 | 2 => Rational::new(rng.gen_range(-30i64..=30).into(), 3),
-        3 => Rational::new(rng.gen_range(-30i64..=30).into(), 7),
-        _ => Rational::new(rng.gen_range(-(1i64 << 22)..=1 << 22).into(), 1 << 20),
-    }
-}
-
-/// A 2- or 3-layer network with ReLU hidden layers and an Identity or
-/// ReLU output layer.
-fn random_net(rng: &mut StdRng) -> Network<Rational> {
-    let inputs = rng.gen_range(1..=5usize);
-    let mut widths = vec![inputs];
-    for _ in 0..rng.gen_range(1..=2usize) {
-        widths.push(rng.gen_range(1..=8usize));
-    }
-    widths.push(rng.gen_range(2..=3usize));
-    let last = widths.len() - 2;
-    let layers = widths
-        .windows(2)
-        .enumerate()
-        .map(|(i, pair)| {
-            let rows = (0..pair[1])
-                .map(|_| (0..pair[0]).map(|_| parameter(rng)).collect())
-                .collect();
-            let biases = (0..pair[1]).map(|_| parameter(rng)).collect();
-            let activation = if i < last || rng.gen_range(0..2u32) == 0 {
-                Activation::ReLU
-            } else {
-                Activation::Identity
-            };
-            DenseLayer::new(
-                Matrix::from_rows(rows).expect("rectangular"),
-                biases,
-                activation,
-            )
-            .expect("matching biases")
-        })
-        .collect();
-    Network::new(layers, Readout::MaxPool).expect("consistent widths")
-}
-
 /// An input enclosure of magnitude 10^-6 … 10^308, one in four above
 /// 10^299 so that some products overflow: a point half the time (an
 /// exactly converted input), otherwise a short interval.
@@ -201,17 +159,6 @@ fn random_input(rng: &mut StdRng) -> FloatInterval {
     } else {
         FloatInterval::new(v, v + v.abs() * rng.gen_range(0.0..1.0))
     }
-}
-
-fn random_region(rng: &mut StdRng, nodes: usize) -> NoiseRegion {
-    NoiseRegion::new(
-        (0..nodes)
-            .map(|_| {
-                let lo = rng.gen_range(-100i64..=100);
-                (lo, rng.gen_range(lo..=100))
-            })
-            .collect(),
-    )
 }
 
 fn bits(iv: &FloatInterval) -> (u64, u64) {

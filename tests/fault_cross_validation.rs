@@ -158,7 +158,9 @@ proptest! {
             let float = region
                 .float_shadow()
                 .output_intervals(&FloatShadow::enclose_input(&x), &noise);
-            let forms = region.zonotope_outputs(&ZonotopeShadow::enclose_input(&x), &noise);
+            let forms = region
+                .zonotope_shadow()
+                .output_forms(&ZonotopeShadow::enclose_input(&x), &noise);
             let mut rng = StdRng::seed_from_u64(sample_seed);
             for _ in 0..8 {
                 let faulted = sample_faulted(&net, &model, &mut rng);
