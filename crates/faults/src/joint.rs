@@ -14,7 +14,10 @@
 //! concretization (every noise grid point paired with every faulted
 //! network of the lift) contains every pair the claim quantifies over;
 //! verdicts of the screening tiers therefore transfer exactly as in the
-//! input-noise domain (the independence argument of DESIGN.md §12). The
+//! input-noise domain (the independence argument of DESIGN.md §12), and
+//! both domains screen a box with one screen pass
+//! ([`fannet_verify::screen::Screens`]): the fault box carries the float
+//! and zonotope shadows, the noise factor is the box the kernels read. The
 //! search refines **both** factors — always the one that is currently
 //! least resolved by normalized width — which is what makes non-trivial
 //! (δ, ε) frontiers decidable. Boxes follow the input-noise domain's
@@ -28,23 +31,19 @@
 //! factor.
 
 use fannet_nn::Network;
-use fannet_numeric::{FloatInterval, Interval, Rational};
+use fannet_numeric::{Interval, Rational};
 use fannet_search::{
-    BoxDecision, Cascade, Classifier, SearchDomain, SearchOutcome, SearchStats, TierKind,
-    TierTimer, ToleranceSearch,
+    BoxDecision, SearchDomain, SearchOutcome, SearchStats, TierKind, TierTimer, ToleranceSearch,
 };
 use fannet_verify::noise::NoiseVector;
-use fannet_verify::propagate::FloatShadow;
 use fannet_verify::region::NoiseRegion;
-use fannet_verify::zonotope::ZonotopeShadow;
+use fannet_verify::screen::Screens;
 
 use crate::checker::{
     lift_is_exact, probe_concrete, validate_query, FaultCheckerConfig, FaultOutcome, FaultWitness,
 };
 use crate::model::FaultModel;
-use crate::propagate::{
-    classify_box, classify_box_float, classify_box_zonotope, enclose_input, BoxVerdict,
-};
+use crate::propagate::{classify_box, enclose_input, BoxVerdict};
 use crate::region::{FaultRegion, FaultedNetwork};
 
 pub use fannet_search::ToleranceResult as JointTolerance;
@@ -232,28 +231,12 @@ impl JointChecker {
             return Ok((FaultOutcome::Vulnerable(w), stats));
         }
 
-        // Screens cheapest first; none at all under `ScreeningTier::None`.
-        let interval = JointIntervalScreen {
-            x: FloatShadow::enclose_input(x),
-            label,
-        };
-        let zonotope = JointZonotopeScreen {
-            x: ZonotopeShadow::enclose_input(x),
-            label,
-        };
-        let mut screens: Vec<&dyn Classifier<ProductRegion>> = Vec::new();
-        if self.config.screening.is_active() {
-            screens.push(&interval);
-        }
-        if self.config.screening.uses_zonotope() {
-            screens.push(&zonotope);
-        }
         let domain = JointQuery {
             x,
             label,
             lift_is_exact: lift_is_exact(model),
             max_depth: self.config.max_depth,
-            cascade: Cascade::new(screens).with_timer(timer),
+            screens: Screens::new(x, label, self.config.screening, timer),
         };
         let root = ProductRegion::new(noise.clone(), fault_root);
         let (outcome, search_stats) =
@@ -380,54 +363,18 @@ impl JointChecker {
 // The product-domain search
 // ---------------------------------------------------------------------------
 
-/// Float-interval tier over product boxes: the fault factor's float
-/// network on the float-encoded input under the box's noise factor.
-struct JointIntervalScreen {
-    x: Vec<FloatInterval>,
-    label: usize,
-}
-
-impl Classifier<ProductRegion> for JointIntervalScreen {
-    fn tier(&self) -> TierKind {
-        TierKind::Interval
-    }
-    fn classify(&self, region: &ProductRegion) -> BoxVerdict {
-        let float = &region.fault.float;
-        classify_box_float(&float.output_intervals(&self.x, &region.noise), self.label)
-    }
-}
-
-/// Zonotope tier over product boxes: shared symbols per input node and
-/// per faulted parameter, so correlations cancel in output differences
-/// across *both* factors.
-struct JointZonotopeScreen {
-    x: Vec<(f64, f64)>,
-    label: usize,
-}
-
-impl Classifier<ProductRegion> for JointZonotopeScreen {
-    fn tier(&self) -> TierKind {
-        TierKind::Zonotope
-    }
-    fn classify(&self, region: &ProductRegion) -> BoxVerdict {
-        let zonotope = &region.fault.zonotope;
-        classify_box_zonotope(&zonotope.output_forms(&self.x, &region.noise), self.label)
-    }
-}
-
 /// The product-domain instantiation of [`SearchDomain`].
 struct JointQuery<'a> {
     x: &'a [Rational],
     label: usize,
     lift_is_exact: bool,
     max_depth: u32,
-    cascade: Cascade<'a, ProductRegion>,
+    screens: Screens,
 }
 
 impl SearchDomain for JointQuery<'_> {
     type Region = ProductRegion;
     type Witness = FaultWitness;
-    type Scratch = ();
 
     /// Classifies one box by the input-noise domain's rule (DESIGN.md
     /// §12): one screen hit or fallback per screened box, one exact
@@ -438,14 +385,20 @@ impl SearchDomain for JointQuery<'_> {
         &self,
         region: &ProductRegion,
         depth: u32,
-        _scratch: &mut (),
         stats: &mut SearchStats,
     ) -> BoxDecision<ProductRegion, FaultWitness> {
-        // Screening tiers, cheapest first (sound by over-approximation).
-        let mut verdict = self.cascade.classify(region, stats);
-        let screened = !self.cascade.is_empty();
-        // Exact work shares the cascade's timer (DESIGN.md §14).
-        let timer = self.cascade.timer();
+        // Screening tiers, cheapest first (sound by over-approximation),
+        // over the shadows the fault box carries.
+        let fault = &region.fault;
+        let mut verdict = self.screens.classify(
+            Some(&fault.float),
+            Some(&fault.zonotope),
+            &region.noise,
+            stats,
+        );
+        let screened = self.screens.is_active();
+        // Exact work shares the screens' timer (DESIGN.md §14).
+        let timer = self.screens.timer();
         if screened {
             if verdict == BoxVerdict::Unknown {
                 stats.screen_fallbacks += 1;

@@ -18,7 +18,7 @@
 //!   over the region's encodings, the zonotope giving every faulted
 //!   weight its own shared noise symbol so correlated faults cancel in
 //!   output differences — the fault-space mirror of the input-noise
-//!   cascade.
+//!   screens, run by the same screen pass.
 //! * [`joint`] — the one fault search: the joint input×weight product
 //!   domain ([`ProductRegion`], [`JointChecker`]), "robust to ±δ input
 //!   noise *and* ±ε weight noise simultaneously", with both factors

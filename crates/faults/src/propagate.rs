@@ -1,8 +1,10 @@
 //! Interval-weight propagation: pushing a (point or boxed) input through
 //! a [`FaultRegion`] (DESIGN.md §11).
 //!
-//! Three tiers mirror the input-noise cascade of `fannet-verify`,
-//! cheapest first, and the first two run that cascade's kernels:
+//! Three tiers mirror the input-noise tiers of `fannet-verify`,
+//! cheapest first. The first two are the kernels of its screen pass
+//! ([`fannet_verify::screen::Screens`]), which screens every product box
+//! through the shadows the region carries:
 //!
 //! 1. **float** ([`FaultRegion::float_shadow`]) — the input-noise float
 //!    tier's kernel over outward-rounded [`FloatInterval`] parameter
@@ -14,8 +16,10 @@
 //!    **its own shared noise symbol** ([`ParamForm::Faulted`]). The same
 //!    symbol's valuation witnesses the parameter everywhere its effect
 //!    flows, so correlated fault contributions **cancel** in the pairwise
-//!    output differences [`classify_box_zonotope`] decides on — the
-//!    fault-space analogue of the input-correlation cancellation.
+//!    output differences
+//!    [`classify_box_zonotope`](fannet_verify::zonotope::classify_box_zonotope)
+//!    decides on — the fault-space analogue of the input-correlation
+//!    cancellation.
 //! 3. **exact** ([`FaultRegion::output_intervals`]) — exact rational
 //!    interval arithmetic with [`Interval::mul_interval`] per weight
 //!    (weights are now intervals, not constants, so the `scale` fast path
@@ -24,8 +28,8 @@
 //!    only; screened searches split what the first two leave undecided.
 //!
 //! The first two read `f64` encodings the region makes with its exact
-//! intervals, and an input encoded once per query: no rational is
-//! converted per box.
+//! intervals, and an input the screen pass encodes once per query: no
+//! rational is converted per box.
 //!
 //! Soundness of every tier: for any [`FaultedNetwork`] drawn from the
 //! region and any noise vector in the input box, each neuron's concrete
@@ -41,10 +45,9 @@ use fannet_verify::zonotope::ParamForm;
 
 use crate::region::{FaultRegion, FaultedNetwork};
 
-// Re-exported classification entry points: the fault tiers reuse the
-// input-noise tie-break semantics verbatim.
-pub use fannet_verify::propagate::{classify_box, classify_box_float, BoxVerdict};
-pub use fannet_verify::zonotope::classify_box_zonotope;
+// The exact tier's classification entry point: the fault domain reuses
+// the input-noise tie-break semantics verbatim.
+pub use fannet_verify::propagate::{classify_box, BoxVerdict};
 
 /// Exact interval enclosure of input `x` under every noise vector of
 /// `noise` — `Xₖ = xₖ · (100 + [loₖ, hiₖ])/100`; a zero-noise region
@@ -161,7 +164,7 @@ mod tests {
     use fannet_nn::{Activation, DenseLayer, Network, Readout};
     use fannet_tensor::Matrix;
     use fannet_verify::propagate::FloatShadow;
-    use fannet_verify::zonotope::ZonotopeShadow;
+    use fannet_verify::zonotope::{classify_box_zonotope, ZonotopeShadow};
 
     fn r(n: i128) -> Rational {
         Rational::from_integer(n)

@@ -66,8 +66,12 @@ impl<W> SearchOutcome<W> {
 /// it is handed:
 ///
 /// * **Soundness of pruning** — [`BoxDecision::Pruned`] only for boxes
-///   provably free of fresh witnesses (screening-tier proofs discharge
-///   this via the [`crate::Classifier`] obligations).
+///   provably free of fresh witnesses. A screen's
+///   [`BoxVerdict`](crate::BoxVerdict) discharges this only when it holds
+///   over the whole concretization of the box: `AlwaysCorrect` for every
+///   concrete point the claim quantifies over (noise grid points, faulted
+///   networks, or noise×fault pairs), `AlwaysWrong` for every such point
+///   misclassifying; `Unknown` is always sound.
 /// * **Genuine witnesses** — a returned witness is a *concrete, in-model*
 ///   point, re-checkable by exact evaluation.
 /// * **Canonical first witness** — within one box, the witness returned
@@ -84,21 +88,13 @@ impl<W> SearchOutcome<W> {
 ///   domains with depth caps compare against it *before* splitting so
 ///   abandoned boxes never book a split.
 /// * **Purity** — the decision (and every counter it books) is a pure
-///   function of `(region, depth)`; `scratch` is reusable buffer space
-///   only and must never influence the result. One workspace serves
-///   every box of a search, so nothing one box leaves in it may change
-///   the next box's decision, and resident caches (`fannet-engine`)
+///   function of `(region, depth)`: resident caches (`fannet-engine`)
 ///   rely on repeated queries reproducing the cold answer bit for bit.
 pub trait SearchDomain {
     /// The box type explored (clone-cheap: splits clone the parent).
     type Region: Clone;
     /// The witness type produced (e.g. an exact counterexample record).
     type Witness;
-    /// Reusable workspace threaded through every `decide` call so hot
-    /// propagation paths stop allocating per box; `()` for domains
-    /// without one. Each search owns exactly one, created via
-    /// `Default`.
-    type Scratch: Default;
 
     /// Decides one box at `depth` splits from the root, booking any
     /// counters it consumes (screen passes, exact evaluations, splits)
@@ -107,7 +103,6 @@ pub trait SearchDomain {
         &self,
         region: &Self::Region,
         depth: u32,
-        scratch: &mut Self::Scratch,
         stats: &mut SearchStats,
     ) -> BoxDecision<Self::Region, Self::Witness>;
 }

@@ -6,8 +6,11 @@
 //! noise box is weight-fault verification, are both instances of one
 //! algorithm:
 //!
-//! 1. route each box through a **cascade** of sound classifiers,
-//!    cheapest first ([`Cascade`], [`Classifier`]);
+//! 1. screen each box with sound over-approximations, cheapest first
+//!    (one screen pass in `fannet-verify` serves both domains), each
+//!    screen that runs booking its [`BoxVerdict`] into its
+//!    [`TierKind`]'s counters ([`SearchStats::book_tier`], timed by a
+//!    [`TierTimer`]);
 //! 2. prune boxes proven uniformly correct, stop on boxes proven
 //!    uniformly wrong (with a concrete witness), split the rest
 //!    ([`SearchDomain::decide`], [`BoxDecision`]);
@@ -19,7 +22,7 @@
 //!
 //! The crate owns no abstract domain of its own: a `SearchDomain`
 //! supplies the region type, the split policy and the per-box decision,
-//! and discharges the soundness obligations documented on each trait.
+//! and discharges the soundness obligations documented on the trait.
 //! [`SearchStats`] is the single counter block shared by every
 //! instantiation — per-tier hits/fallbacks, boxes, splits, budgets.
 //!
@@ -28,15 +31,13 @@
 //! (DESIGN.md §7).
 
 pub mod bisect;
-pub mod cascade;
 pub mod domain;
 pub mod solve;
 pub mod stats;
 pub mod tier;
 
 pub use bisect::{tolerance_search, ToleranceResult, ToleranceSearch};
-pub use cascade::{BoxVerdict, Cascade, Classifier, TierKind, TierTimer};
 pub use domain::{BoxDecision, SearchDomain, SearchOutcome};
 pub use solve::{collect_witnesses, search_serial};
 pub use stats::SearchStats;
-pub use tier::ScreeningTier;
+pub use tier::{BoxVerdict, ScreeningTier, TierKind, TierTimer};

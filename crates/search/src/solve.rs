@@ -77,7 +77,6 @@ pub fn collect_witnesses<D: SearchDomain>(
 ) -> (Vec<D::Witness>, bool, SearchStats) {
     assert!(cap > 0, "cap must be positive");
     let mut stats = SearchStats::default();
-    let mut scratch = D::Scratch::default();
     let mut found = Vec::new();
     let mut stack = vec![(root, 0u32)];
     let mut complete = true;
@@ -90,7 +89,7 @@ pub fn collect_witnesses<D: SearchDomain>(
         }
         stats.boxes_visited += 1;
         stats.note_depth(depth);
-        match domain.decide(&region, depth, &mut scratch, &mut stats) {
+        match domain.decide(&region, depth, &mut stats) {
             BoxDecision::Pruned => {}
             BoxDecision::Witness(w) => {
                 found.push(w);
@@ -137,13 +136,11 @@ mod tests {
     impl SearchDomain for RangeDomain {
         type Region = (i64, i64);
         type Witness = i64;
-        type Scratch = ();
 
         fn decide(
             &self,
             &(lo, hi): &(i64, i64),
             depth: u32,
-            _scratch: &mut (),
             stats: &mut SearchStats,
         ) -> BoxDecision<(i64, i64), i64> {
             if !self.bad.iter().any(|&b| lo <= b && b <= hi) {

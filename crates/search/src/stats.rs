@@ -26,7 +26,7 @@ use serde::de::Error as _;
 use serde::ser::SerializeStruct as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 
-use crate::cascade::{BoxVerdict, TierKind};
+use crate::tier::{BoxVerdict, TierKind};
 
 /// Counters of one branch-and-bound run (or the merge of several —
 /// tolerance bisections merge their probes' counters).

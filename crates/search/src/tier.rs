@@ -1,8 +1,82 @@
 //! Which screening tiers run before the domain's exact decision
 //! procedure — shared by the input-noise, weight-fault and joint
-//! checkers.
+//! checkers — plus the verdict a tier reaches on a box, the counters it
+//! books and the opt-in clock that times it.
 
 use serde::{Deserialize, Serialize};
+
+/// An opt-in monotonic clock for per-tier cost attribution
+/// (DESIGN.md §14).
+///
+/// Disabled (the default) it is a no-op — `time` runs the closure and
+/// reports zero nanoseconds, so untraced queries never pay for a clock
+/// read and their stats stay bit-identical to pre-timer builds. Enabled
+/// it brackets the closure with [`std::time::Instant`] reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TierTimer {
+    enabled: bool,
+}
+
+impl TierTimer {
+    /// The no-op timer (every untraced query).
+    #[must_use]
+    pub fn disabled() -> Self {
+        TierTimer { enabled: false }
+    }
+
+    /// A live timer (queries answering a `"trace": true` request or a
+    /// slow-query threshold).
+    #[must_use]
+    pub fn enabled() -> Self {
+        TierTimer { enabled: true }
+    }
+
+    /// Whether this timer reads the clock.
+    #[must_use]
+    pub fn is_enabled(self) -> bool {
+        self.enabled
+    }
+
+    /// Runs `f` and returns its result plus the elapsed nanoseconds
+    /// (zero when disabled).
+    pub fn time<T>(self, f: impl FnOnce() -> T) -> (T, u64) {
+        if !self.enabled {
+            return (f(), 0);
+        }
+        let start = std::time::Instant::now();
+        let out = f();
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        (out, ns)
+    }
+}
+
+/// Sound classification verdict for a whole box.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BoxVerdict {
+    /// Every point of the box keeps the predicted label equal to the
+    /// expected one.
+    AlwaysCorrect,
+    /// Every point of the box produces a different label.
+    AlwaysWrong,
+    /// The tier cannot decide; the box must be split, enumerated or
+    /// handed to a stronger tier.
+    Unknown,
+}
+
+/// Which [`SearchStats`](crate::SearchStats) counters a tier's verdicts
+/// land in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TierKind {
+    /// Outward-rounded `f64` interval propagation
+    /// (`interval_hits`/`interval_fallbacks`).
+    Interval,
+    /// Affine-form zonotope propagation
+    /// (`zonotope_hits`/`zonotope_fallbacks`).
+    Zonotope,
+    /// Exact rational interval propagation over boxes
+    /// (`exact_decisions`/`exact_fallbacks`), run and booked by the domains.
+    Exact,
+}
 
 /// Which screening tiers route each box before exact work runs.
 ///
@@ -135,6 +209,14 @@ mod tests {
             }
             assert!(err.contains(input), "{err} must echo the input");
         }
+    }
+
+    #[test]
+    fn disabled_timer_reports_zero_elapsed() {
+        let (value, ns) = TierTimer::disabled().time(|| 7);
+        assert_eq!((value, ns), (7, 0));
+        let (value, _) = TierTimer::enabled().time(|| "ran");
+        assert_eq!(value, "ran");
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!
 //! * **regions** — integer-percent noise boxes ([`NoiseRegion`]), split
 //!   on the widest dimension, terminating at grid points;
-//! * **cascade** — the float-interval screen
-//!   ([`crate::propagate::FloatShadow`], DESIGN.md §6) and the
+//! * **screens** — the screen pass of both domains
+//!   ([`crate::screen::Screens`]) over the network's resident shadows:
+//!   the float-interval screen ([`crate::propagate::FloatShadow`],
+//!   DESIGN.md §6), then under [`ScreeningTier::Cascade`] the
 //!   correlation-tracking zonotope screen
 //!   ([`crate::zonotope::ZonotopeShadow`], DESIGN.md §10). A box every
 //!   active screen leaves `Unknown` splits at once; exact rational
@@ -43,21 +45,17 @@
 use std::borrow::Cow;
 
 use fannet_nn::Network;
-use fannet_numeric::{FloatInterval, Rational};
-use fannet_search::{
-    BoxDecision, Cascade, Classifier, SearchDomain, SearchOutcome, TierKind, TierTimer,
-};
+use fannet_numeric::Rational;
+use fannet_search::{BoxDecision, SearchDomain, SearchOutcome, TierKind, TierTimer};
 use fannet_tensor::ShapeError;
 use serde::{Deserialize, Serialize};
 
 use crate::exact;
 use crate::noise::{ExclusionSet, NoiseVector};
-use crate::propagate::{
-    classify_box, classify_box_float, output_intervals_with, BoxVerdict, FloatShadow,
-    PropagationWorkspace,
-};
+use crate::propagate::{classify_box, output_intervals, BoxVerdict, FloatShadow};
 use crate::region::NoiseRegion;
-use crate::zonotope::{classify_box_zonotope, ZonotopeShadow};
+use crate::screen::Screens;
+use crate::zonotope::ZonotopeShadow;
 
 pub use fannet_search::ScreeningTier;
 /// Search statistics of the input-noise checker — since the
@@ -387,14 +385,7 @@ impl<'n> RegionChecker<'n> {
     ) -> Result<(RegionOutcome, BabStats), ShapeError> {
         assert!(label < self.net.outputs(), "label {label} out of range");
         validate_widths(self.net, x, region)?;
-        let screens = QueryScreens::new(x, label, self.shadow.as_deref(), self.zonotope.as_deref());
-        let ctx = QueryContext {
-            net: self.net,
-            x,
-            label,
-            excluded,
-            cascade: screens.cascade().with_timer(timer),
-        };
+        let ctx = self.query(x, label, excluded, timer);
         let (outcome, stats) = fannet_search::search_serial(&ctx, region.clone(), None);
         let outcome = match outcome {
             SearchOutcome::Proven => RegionOutcome::Robust,
@@ -427,14 +418,7 @@ impl<'n> RegionChecker<'n> {
         assert!(cap > 0, "cap must be positive");
         validate_widths(self.net, x, region)?;
         let excluded = ExclusionSet::new();
-        let screens = QueryScreens::new(x, label, self.shadow.as_deref(), self.zonotope.as_deref());
-        let ctx = QueryContext {
-            net: self.net,
-            x,
-            label,
-            excluded: &excluded,
-            cascade: screens.cascade(),
-        };
+        let ctx = self.query(x, label, &excluded, TierTimer::disabled());
         // With an empty exclusion set the uniform witness is the box's
         // first grid point; the remaining points all misclassify too
         // (interval proof), so the expansion enumerates them directly,
@@ -462,6 +446,25 @@ impl<'n> RegionChecker<'n> {
         let (found, exhausted, stats) =
             fannet_search::collect_witnesses(&ctx, region.clone(), cap, None, expand);
         Ok((found, exhausted, stats))
+    }
+
+    /// The search domain of one query over this handle's shadows.
+    fn query<'a>(
+        &'a self,
+        x: &'a [Rational],
+        label: usize,
+        excluded: &'a ExclusionSet,
+        timer: TierTimer,
+    ) -> QueryContext<'a> {
+        QueryContext {
+            net: self.net,
+            x,
+            label,
+            excluded,
+            float: self.shadow.as_deref(),
+            zonotope: self.zonotope.as_deref(),
+            screens: Screens::new(x, label, self.config.screening, timer),
+        }
     }
 }
 
@@ -608,94 +611,21 @@ fn validate_widths(
     Ok(())
 }
 
-/// The float-interval screening tier of one query: the per-network
-/// shadow plus the per-query input enclosure.
-struct IntervalScreen<'a> {
-    shadow: &'a FloatShadow,
-    x: Vec<FloatInterval>,
-    label: usize,
-}
-
-impl Classifier<NoiseRegion> for IntervalScreen<'_> {
-    fn tier(&self) -> TierKind {
-        TierKind::Interval
-    }
-    fn classify(&self, region: &NoiseRegion) -> BoxVerdict {
-        classify_box_float(&self.shadow.output_intervals(&self.x, region), self.label)
-    }
-}
-
-/// The zonotope screening tier of one query: the per-network shadow
-/// plus the per-query `(center, slack)` enclosure.
-struct ZonotopeScreen<'a> {
-    shadow: &'a ZonotopeShadow,
-    x: Vec<(f64, f64)>,
-    label: usize,
-}
-
-impl Classifier<NoiseRegion> for ZonotopeScreen<'_> {
-    fn tier(&self) -> TierKind {
-        TierKind::Zonotope
-    }
-    fn classify(&self, region: &NoiseRegion) -> BoxVerdict {
-        classify_box_zonotope(&self.shadow.output_forms(&self.x, region), self.label)
-    }
-}
-
-/// The per-query screen owners; [`QueryScreens::cascade`] borrows them
-/// into the [`Cascade`] the domain consults per box.
-struct QueryScreens<'a> {
-    interval: Option<IntervalScreen<'a>>,
-    zonotope: Option<ZonotopeScreen<'a>>,
-}
-
-impl<'a> QueryScreens<'a> {
-    fn new(
-        x: &[Rational],
-        label: usize,
-        shadow: Option<&'a FloatShadow>,
-        zonotope: Option<&'a ZonotopeShadow>,
-    ) -> Self {
-        QueryScreens {
-            interval: shadow.map(|shadow| IntervalScreen {
-                shadow,
-                x: FloatShadow::enclose_input(x),
-                label,
-            }),
-            zonotope: zonotope.map(|shadow| ZonotopeScreen {
-                shadow,
-                x: ZonotopeShadow::enclose_input(x),
-                label,
-            }),
-        }
-    }
-
-    fn cascade(&self) -> Cascade<'_, NoiseRegion> {
-        let mut tiers: Vec<&dyn Classifier<NoiseRegion>> = Vec::new();
-        if let Some(screen) = &self.interval {
-            tiers.push(screen);
-        }
-        if let Some(screen) = &self.zonotope {
-            tiers.push(screen);
-        }
-        Cascade::new(tiers)
-    }
-}
-
 /// Everything immutable the search needs to decide boxes for one query.
 struct QueryContext<'a> {
     net: &'a Network<Rational>,
     x: &'a [Rational],
     label: usize,
     excluded: &'a ExclusionSet,
-    cascade: Cascade<'a, NoiseRegion>,
+    /// The network's resident shadows, present iff their screen runs.
+    float: Option<&'a FloatShadow>,
+    zonotope: Option<&'a ZonotopeShadow>,
+    screens: Screens,
 }
 
 impl SearchDomain for QueryContext<'_> {
     type Region = NoiseRegion;
     type Witness = exact::Counterexample;
-    /// The exact tier's activation buffers (unscreened searches only).
-    type Scratch = PropagationWorkspace;
 
     /// Classifies one box through the active tiers, updating `stats`.
     ///
@@ -712,15 +642,16 @@ impl SearchDomain for QueryContext<'_> {
         &self,
         current: &NoiseRegion,
         _depth: u32,
-        scratch: &mut PropagationWorkspace,
         stats: &mut BabStats,
     ) -> BoxDecision<NoiseRegion, exact::Counterexample> {
         // Screening tiers, cheapest first (sound by over-approximation).
-        let mut verdict = self.cascade.classify(current, stats);
-        let screened = !self.cascade.is_empty();
-        // Exact rational work below shares the cascade's timer so traced
+        let mut verdict = self
+            .screens
+            .classify(self.float, self.zonotope, current, stats);
+        let screened = self.screens.is_active();
+        // Exact rational work below shares the screens' timer so traced
         // queries attribute every tier's cost, untraced ones pay nothing.
-        let timer = self.cascade.timer();
+        let timer = self.screens.timer();
 
         if current.is_point() {
             // A screening tier can prove a point correct and skip the
@@ -762,9 +693,9 @@ impl SearchDomain for QueryContext<'_> {
             }
         } else {
             let (exact_verdict, ns) = timer.time(|| {
-                let enclosure = output_intervals_with(self.net, self.x, current, scratch)
+                let enclosure = output_intervals(self.net, self.x, current)
                     .expect("widths validated at query entry");
-                classify_box(enclosure, self.label)
+                classify_box(&enclosure, self.label)
             });
             stats.book_tier(TierKind::Exact, exact_verdict, ns);
             verdict = exact_verdict;

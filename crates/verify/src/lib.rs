@@ -11,6 +11,8 @@
 //!   networks over a noise box.
 //! * [`zonotope`] — sound affine-form (zonotope) abstract interpretation,
 //!   the middle screening tier that classifies on output *differences*.
+//! * [`screen`] — the screen pass of both search domains: the float
+//!   screen, then the zonotope screen on what it leaves undecided.
 //! * [`exact`] — ground-truth rational evaluation and counterexample
 //!   records.
 //! * [`bab`] — branch-and-bound: sound *and complete* over the integer
@@ -45,6 +47,7 @@ pub mod exact;
 pub mod noise;
 pub mod propagate;
 pub mod region;
+pub mod screen;
 pub mod zonotope;
 
 pub use bab::{BabStats, CheckerConfig, RegionChecker, RegionOutcome, ScreeningTier};

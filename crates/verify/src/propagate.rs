@@ -38,38 +38,6 @@ pub fn output_intervals(
     x: &[Rational],
     region: &NoiseRegion,
 ) -> Result<Vec<Interval>, ShapeError> {
-    let mut ws = PropagationWorkspace::default();
-    output_intervals_with(net, x, region, &mut ws).map(<[Interval]>::to_vec)
-}
-
-/// Reusable activation buffers for [`output_intervals_with`]: the exact
-/// tier's per-box hot path allocates nothing once the workspace has
-/// grown to the widest layer (ROADMAP "exact fallbacks stop allocating
-/// per node").
-#[derive(Debug, Clone, Default)]
-pub struct PropagationWorkspace {
-    acts: Vec<Interval>,
-    next: Vec<Interval>,
-}
-
-/// [`output_intervals`] writing into a caller-owned workspace instead of
-/// allocating fresh activation vectors per box; the returned slice
-/// borrows the workspace and holds exactly the output enclosure.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if widths disagree.
-///
-/// # Panics
-///
-/// Panics if the network contains a non-piecewise-linear activation
-/// (sigmoid), as [`output_intervals`] does.
-pub fn output_intervals_with<'w>(
-    net: &Network<Rational>,
-    x: &[Rational],
-    region: &NoiseRegion,
-    ws: &'w mut PropagationWorkspace,
-) -> Result<&'w [Interval], ShapeError> {
     if x.len() != net.inputs() {
         return Err(ShapeError::new(format!(
             "input of width {} against network with {} inputs",
@@ -90,20 +58,20 @@ pub fn output_intervals_with<'w>(
     );
 
     // Input enclosure under relative noise.
-    ws.acts.clear();
-    ws.acts.extend(
-        x.iter()
-            .enumerate()
-            .map(|(k, &xk)| Interval::point(xk).mul_interval(&region.factor_interval(k))),
-    );
+    let mut acts: Vec<Interval> = x
+        .iter()
+        .enumerate()
+        .map(|(k, &xk)| Interval::point(xk).mul_interval(&region.factor_interval(k)))
+        .collect();
 
+    let mut next = Vec::new();
     for layer in net.layers() {
         let w = layer.weights();
-        ws.next.clear();
-        ws.next.reserve(layer.outputs());
+        next.clear();
+        next.reserve(layer.outputs());
         for r in 0..w.rows() {
             let mut z = Interval::point(layer.biases()[r]);
-            for (c, a) in ws.acts.iter().enumerate() {
+            for (c, a) in acts.iter().enumerate() {
                 z = z + a.scale(w[(r, c)]);
             }
             let out = match layer.activation() {
@@ -111,11 +79,11 @@ pub fn output_intervals_with<'w>(
                 Activation::ReLU => z.relu(),
                 Activation::Sigmoid => unreachable!("checked piecewise-linear above"),
             };
-            ws.next.push(out);
+            next.push(out);
         }
-        std::mem::swap(&mut ws.acts, &mut ws.next);
+        std::mem::swap(&mut acts, &mut next);
     }
-    Ok(&ws.acts)
+    Ok(acts)
 }
 
 // The verdict type lives in the generic search core since the
@@ -481,25 +449,6 @@ mod tests {
             assert!(w.contains_interval(n));
             assert!(w.width() >= n.width());
         }
-    }
-
-    #[test]
-    fn workspace_reuse_matches_fresh_allocation() {
-        let net = net();
-        let mut ws = PropagationWorkspace::default();
-        for (x0, x1) in [(120, -80), (37, 202), (-15, 4)] {
-            let x = [r(x0), r(x1)];
-            for delta in [0, 3, 11] {
-                let region = NoiseRegion::symmetric(delta, 2);
-                let fresh = output_intervals(&net, &x, &region).unwrap();
-                let reused = output_intervals_with(&net, &x, &region, &mut ws).unwrap();
-                assert_eq!(reused, fresh.as_slice(), "x=({x0},{x1}), delta {delta}");
-            }
-        }
-        // Shape errors propagate through the workspace path too.
-        assert!(
-            output_intervals_with(&net, &[r(1)], &NoiseRegion::symmetric(1, 2), &mut ws).is_err()
-        );
     }
 
     #[test]

@@ -24,7 +24,12 @@
 //! fallback splits, is evaluated exactly (a point box) or gets one exact
 //! interval pass before it is abandoned; and the only other exact pass is
 //! at most one per search, on an undecided root with a continuous fault
-//! factor.
+//! factor. Every query, screened or not, also checks the screen order:
+//! the float screen runs on every box of a screened search, the zonotope
+//! screen only under `cascade` and only on the boxes the float screen
+//! leaves undecided.
+
+mod common;
 
 use fannet::core::behavior;
 use fannet::core::casestudy::{build, CaseStudyConfig};
@@ -94,6 +99,7 @@ fn row(
         counters.join(" ")
     );
     assert_box_rule(tier, &line, searches, stats);
+    common::assert_screen_order(tier, &line, stats);
     line
 }
 

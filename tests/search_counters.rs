@@ -15,7 +15,12 @@
 //! each visited box as one screen hit or one screen fallback, splits or
 //! exactly evaluates each fallback, and never runs exact interval
 //! propagation over a box; the unscreened search splits exactly the
-//! boxes its exact interval tier leaves undecided.
+//! boxes its exact interval tier leaves undecided. It checks the screen
+//! order too: the float screen runs on every box of a screened search,
+//! the zonotope screen only under `cascade` and only on the boxes the
+//! float screen leaves undecided.
+
+mod common;
 
 use fannet::core::behavior;
 use fannet::core::casestudy::{build, CaseStudyConfig};
@@ -75,6 +80,7 @@ fn row(tier: ScreeningTier, op: &str, delta: i64, input: usize, stats: &BabStats
         counters.join(" ")
     );
     assert_box_rule(tier, &line, stats);
+    common::assert_screen_order(tier, &line, stats);
     line
 }
 
