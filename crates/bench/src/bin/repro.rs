@@ -1,6 +1,7 @@
 //! Regenerates every figure/table of the FANNet paper (DATE 2020) as text,
-//! with paper-reported values alongside the measured ones. The output of
-//! this binary is the data recorded in EXPERIMENTS.md.
+//! with paper-reported values alongside the measured ones. This output is
+//! the reproduction's record of those numbers; `tests/paper_numbers.rs`
+//! pins the case-study values among them.
 //!
 //! ```text
 //! cargo run --release -p fannet-bench --bin repro
@@ -16,7 +17,7 @@
 //! Log records below `warn` are dropped, so the in-process servers'
 //! connection records stay out of the printed tables.
 
-use fannet_bench::paper_study;
+use fannet_core::casestudy::{build, CaseStudy, CaseStudyConfig};
 use fannet_core::pipeline::{self, AnalysisConfig};
 use fannet_core::{behavior, bias, tolerance};
 use fannet_data::discretize::Discretizer;
@@ -47,8 +48,27 @@ use serde::Serialize;
 use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Instant;
+
+/// The full-size (7129-gene) case study, built once per process.
+fn paper_study() -> &'static CaseStudy {
+    static STUDY: OnceLock<CaseStudy> = OnceLock::new();
+    STUDY.get_or_init(|| build(&CaseStudyConfig::paper()))
+}
+
+/// The exact rational inputs of the test split, built once per process.
+fn paper_test_inputs() -> &'static Vec<Vec<Rational>> {
+    static INPUTS: OnceLock<Vec<Vec<Rational>>> = OnceLock::new();
+    INPUTS.get_or_init(|| {
+        paper_study()
+            .test5
+            .samples()
+            .iter()
+            .map(|s| behavior::rational_input(s))
+            .collect()
+    })
+}
 
 fn header(title: &str) {
     println!("\n{}", "=".repeat(72));
@@ -348,7 +368,7 @@ fn noise_frontiers<X>(
     len: usize,
     encode: impl Fn(&[Rational]) -> X,
 ) -> (Vec<(X, Vec<NoiseRegion>)>, usize) {
-    let queries: Vec<_> = fannet_bench::paper_test_inputs()
+    let queries: Vec<_> = paper_test_inputs()
         .iter()
         .map(|x| {
             let root = NoiseRegion::symmetric(30, x.len());
@@ -424,7 +444,7 @@ fn fault_screen_report() -> FaultScreenReport {
     let fault = FaultRegion::lift(net, &model).expect("in-domain model");
     let root = ProductRegion::new(NoiseRegion::symmetric(2, net.inputs()), fault);
     let frontier = breadth_first(root, FAULT_SCREEN_FRONTIER, ProductRegion::split);
-    let inputs: Vec<_> = fannet_bench::paper_test_inputs()
+    let inputs: Vec<_> = paper_test_inputs()
         .iter()
         .map(|x| {
             (
@@ -485,7 +505,7 @@ fn fault_screen_report() -> FaultScreenReport {
 /// against the trained 5–20–2 case-study network.
 fn checker_ablation_rows(deltas: &[i64]) -> Vec<AblationRow> {
     let cs = paper_study();
-    let inputs = fannet_bench::paper_test_inputs();
+    let inputs = paper_test_inputs();
     let labels = cs.test5.labels();
     let idx = 6; // robust input: every variant must cover the whole grid
     let variants: [(&'static str, CheckerConfig); 3] = [
@@ -533,7 +553,7 @@ fn checker_ablation_rows(deltas: &[i64]) -> Vec<AblationRow> {
 /// the tiers only change who pays per box.
 fn zonotope_ablation_rows(deltas: &[i64]) -> Vec<ZonotopeAblationRow> {
     let cs = paper_study();
-    let inputs = fannet_bench::paper_test_inputs();
+    let inputs = paper_test_inputs();
     let labels = cs.test5.labels();
     let idx = 6;
     let variants: [(&'static str, CheckerConfig); 2] = [
@@ -597,7 +617,7 @@ fn zonotope_ablation_rows(deltas: &[i64]) -> Vec<ZonotopeAblationRow> {
 /// run's interval/zonotope/exact nanosecond split is recorded.
 fn tier_attribution_rows(deltas: &[i64]) -> Vec<TierAttributionRow> {
     let cs = paper_study();
-    let inputs = fannet_bench::paper_test_inputs();
+    let inputs = paper_test_inputs();
     let labels = cs.test5.labels();
     let idx = 6;
     let checker = RegionChecker::new(&cs.exact_net, CheckerConfig::cascade());
@@ -660,7 +680,7 @@ fn fault_ablation_rows(eps_numers: &[i64]) -> Vec<FaultAblationRow> {
     use fannet_faults::FaultModel;
     use fannet_verify::bab::ScreeningTier;
     let cs = paper_study();
-    let inputs = fannet_bench::paper_test_inputs();
+    let inputs = paper_test_inputs();
     let labels = cs.test5.labels();
     let idx = 6;
     let variants: [(&'static str, FaultCheckerConfig); 2] = [
@@ -721,7 +741,7 @@ fn joint_ablation_rows() -> Vec<JointAblationRow> {
     use fannet_verify::bab::ScreeningTier;
     use fannet_verify::region::NoiseRegion;
     let cs = paper_study();
-    let inputs = fannet_bench::paper_test_inputs();
+    let inputs = paper_test_inputs();
     let labels = cs.test5.labels();
     let idx = 6;
     let variants: [(&'static str, FaultCheckerConfig); 2] = [
@@ -792,7 +812,7 @@ fn joint_ablation_rows() -> Vec<JointAblationRow> {
 /// every verdict and witness cross-checked between the arms.
 fn engine_throughput_report() -> EngineThroughputReport {
     let cs = paper_study();
-    let inputs = fannet_bench::paper_test_inputs();
+    let inputs = paper_test_inputs();
     let labels = cs.test5.labels();
     let correct: Vec<usize> = (0..inputs.len())
         .filter(|&i| cs.exact_net.classify(&inputs[i]).expect("width") == labels[i])
@@ -957,7 +977,7 @@ fn server_workload(inputs: &[Vec<fannet_numeric::Rational>], labels: &[usize]) -
 /// a single core, where thread parallelism alone could not.
 fn server_throughput_report() -> ServerThroughputReport {
     let cs = paper_study();
-    let inputs = fannet_bench::paper_test_inputs();
+    let inputs = paper_test_inputs();
     let labels = cs.test5.labels();
     let batch: Vec<usize> = (0..inputs.len())
         .filter(|&i| cs.exact_net.classify(&inputs[i]).expect("width") == labels[i])
@@ -1072,7 +1092,7 @@ fn server_throughput_report() -> ServerThroughputReport {
 /// time per request plus the queue-wait share of their sum.
 fn queue_attribution_report() -> Vec<QueueAttributionRow> {
     let cs = paper_study();
-    let inputs = fannet_bench::paper_test_inputs();
+    let inputs = paper_test_inputs();
     let labels = cs.test5.labels();
     let batch: Vec<usize> = (0..inputs.len())
         .filter(|&i| cs.exact_net.classify(&inputs[i]).expect("width") == labels[i])
@@ -1563,7 +1583,7 @@ fn main() {
 
     // =====================================================================
     header("A2 — ablation: branch-and-bound vs exhaustive grid");
-    let inputs = fannet_bench::paper_test_inputs();
+    let inputs = paper_test_inputs();
     let labels = cs.test5.labels();
     let idx = 6;
     for delta in [1i64, 2, 3] {

@@ -6,8 +6,8 @@
 //! per-input robustness radius is a proxy for distance to the decision
 //! boundary in the input hyperspace. This module joins the radii from the
 //! tolerance analysis with the exact zero-noise output margin, giving two
-//! independent boundary-proximity measures whose agreement the tests (and
-//! EXPERIMENTS.md) check.
+//! independent boundary-proximity measures whose agreement the tests check
+//! and `repro`'s text output reports (the margin/radius concordance).
 
 use fannet_data::Dataset;
 use fannet_nn::Network;

@@ -15,7 +15,8 @@
 //! 5. quantize exactly to rationals for verification.
 //!
 //! Everything is deterministic in the configuration (dataset seed +
-//! training seed), so reports and benches are reproducible run to run.
+//! training seed), so reports and `repro`'s tables are reproducible run
+//! to run.
 
 use fannet_data::discretize::Discretizer;
 use fannet_data::golub::{self, GolubConfig, GolubLeukemia};
@@ -191,7 +192,7 @@ mod tests {
     fn training_reaches_paper_accuracy_shape() {
         let cs = study();
         // Paper: 100 % train accuracy; ≥ 94 % test accuracy (exact value
-        // depends on the synthetic draw — EXPERIMENTS.md records both).
+        // depends on the synthetic draw — `repro`'s E3 section prints both).
         assert_eq!(
             cs.train_accuracy(),
             1.0,

@@ -8,7 +8,7 @@
 //! * **MID** (difference): maximize `I(f; c) − mean_{s∈S} I(f; s)`
 //! * **MIQ** (quotient):   maximize `I(f; c) / mean_{s∈S} I(f; s)`
 //!
-//! plus two baselines used by the A3 ablation bench: variance ranking and
+//! plus two baselines used by `repro`'s A3 ablation: variance ranking and
 //! seeded random selection.
 
 use rand::seq::SliceRandom;

@@ -8,9 +8,8 @@
 //! ([`io`]).
 //!
 //! The network code is generic over [`fannet_numeric::Scalar`], so a single
-//! forward-pass implementation serves `f64` training, exact-`Rational`
-//! verification and Q32.32 [`Fixed`](fannet_numeric::Fixed) deployment
-//! simulation.
+//! forward-pass implementation serves `f64` training and exact-`Rational`
+//! verification.
 //!
 //! ## Example: train, quantize, classify exactly
 //!

@@ -1,5 +1,5 @@
-//! Quantization of trained `f64` networks into exact [`Rational`] and
-//! fixed-point [`Fixed`] parameter domains.
+//! Quantization of trained `f64` networks into the exact [`Rational`]
+//! parameter domain.
 //!
 //! FANNet's "behaviour extraction" step (Fig. 2 of the paper) translates a
 //! trained network into the model checker's language. nuXmv works over
@@ -13,7 +13,7 @@
 //! with the float model on the whole test set before any noise analysis
 //! begins.
 
-use fannet_numeric::{Fixed, Rational};
+use fannet_numeric::Rational;
 
 use crate::network::Network;
 
@@ -61,13 +61,6 @@ pub fn to_rational(net: &Network<f64>, denom_bits: u32) -> Network<Rational> {
 #[must_use]
 pub fn to_rational_default(net: &Network<f64>) -> Network<Rational> {
     to_rational(net, DEFAULT_DENOM_BITS)
-}
-
-/// Converts a network to the Q32.32 fixed-point datapath (deployment
-/// simulation; *not* used for verification).
-#[must_use]
-pub fn to_fixed(net: &Network<f64>) -> Network<Fixed> {
-    net.map(|&w| Fixed::from_f64(w))
 }
 
 /// Converts an exact rational network back to `f64` (reporting).
@@ -209,18 +202,6 @@ mod tests {
             assert_eq!(q.net, to_rational(&net, bits), "bits={bits}");
             assert_eq!(q.max_error, max_quantization_error(&net, bits));
             assert!(q.max_error <= Rational::new(1, 1i128 << (bits + 1)));
-        }
-    }
-
-    #[test]
-    fn fixed_point_round_trip_is_close() {
-        let net = sample_net();
-        let fx = to_fixed(&net);
-        let back = fx.map(|v| v.to_f64());
-        for (a, b) in net.layers().iter().zip(back.layers()) {
-            for (&wa, &wb) in a.weights().as_slice().iter().zip(b.weights().as_slice()) {
-                assert!((wa - wb).abs() < 1e-9);
-            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! # fannet-numeric
 //!
 //! Numeric substrate for the FANNet (DATE 2020) reproduction: exact rational
-//! arithmetic, Q32.32 fixed point, rational interval arithmetic, and the
-//! [`Scalar`] abstraction that lets the network code run over any of them.
+//! arithmetic, rational interval arithmetic, and the [`Scalar`] abstraction
+//! that lets the network code run over `f64` or [`Rational`].
 //!
 //! FANNet's verdicts ("no noise vector within ±Δ% flips this input") are
 //! formal claims, so the entire decision path is carried out in exact
@@ -10,8 +10,7 @@
 //! reporting. [`Interval`] provides the abstract domain for the
 //! branch-and-bound verifier, [`FloatInterval`] and [`AffineForm`] its
 //! outward-rounded `f64` screening counterparts (interval and zonotope
-//! tiers), and [`Fixed`] models the quantized datapath a deployed network
-//! would use.
+//! tiers).
 //!
 //! ## Example
 //!
@@ -31,14 +30,12 @@
 //! ```
 
 pub mod affine;
-pub mod fixed;
 pub mod float_interval;
 pub mod interval;
 pub mod rational;
 pub mod scalar;
 
 pub use affine::AffineForm;
-pub use fixed::Fixed;
 pub use float_interval::FloatInterval;
 pub use interval::Interval;
 pub use rational::Rational;

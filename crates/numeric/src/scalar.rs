@@ -1,27 +1,25 @@
-//! The [`Scalar`] abstraction: one numeric interface for `f64`, [`Rational`]
-//! and [`Fixed`].
+//! The [`Scalar`] abstraction: one numeric interface for `f64` and
+//! [`Rational`].
 //!
 //! The network code in `fannet-nn` is generic over `Scalar`, so the *same*
-//! forward-pass implementation serves three roles:
+//! forward-pass implementation serves two roles:
 //!
 //! * `f64` — fast training and floating-point reference inference;
-//! * [`Rational`] — the exact semantics verified by `fannet-verify`;
-//! * [`Fixed`] — the as-deployed Q32.32 datapath used in examples/benches.
+//! * [`Rational`] — the exact semantics verified by `fannet-verify`.
 
 use std::fmt::{Debug, Display};
 use std::ops::{Add, Mul, Neg, Sub};
 
-use crate::fixed::Fixed;
 use crate::rational::Rational;
 
 /// A numeric type usable as the element type of tensors and networks.
 ///
 /// Implementors must form an ordered commutative ring (up to the usual
-/// caveats for saturating/floating arithmetic). The trait is deliberately
+/// caveats for floating-point arithmetic). The trait is deliberately
 /// small: only what the forward pass, training loop and verifier need.
 ///
-/// This trait is sealed-by-convention: it is implemented for exactly `f64`,
-/// [`Rational`] and [`Fixed`], and downstream crates are not expected to add
+/// This trait is sealed-by-convention: it is implemented for exactly `f64`
+/// and [`Rational`], and downstream crates are not expected to add
 /// implementations (nothing enforces this; the FANNet crates simply make no
 /// compatibility promises for foreign scalars).
 ///
@@ -129,21 +127,6 @@ impl Scalar for Rational {
     }
 }
 
-impl Scalar for Fixed {
-    fn zero() -> Self {
-        Fixed::ZERO
-    }
-    fn one() -> Self {
-        Fixed::ONE
-    }
-    fn from_f64(v: f64) -> Self {
-        Fixed::from_f64(v)
-    }
-    fn to_f64(self) -> f64 {
-        Fixed::to_f64(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,11 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_scalar() {
-        exercise::<Fixed>();
-    }
-
-    #[test]
     fn generic_dot_product_agrees_across_scalars() {
         fn dot<S: Scalar>(a: &[f64], b: &[f64]) -> f64 {
             let a: Vec<S> = a.iter().map(|&v| S::from_f64(v)).collect();
@@ -197,6 +175,5 @@ mod tests {
         let expected = -5.0;
         assert_eq!(dot::<f64>(&a, &b), expected);
         assert_eq!(dot::<Rational>(&a, &b), expected);
-        assert_eq!(dot::<Fixed>(&a, &b), expected);
     }
 }

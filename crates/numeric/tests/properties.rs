@@ -4,7 +4,7 @@
 //! relies on: field axioms for [`Rational`], order compatibility, exactness
 //! of conversions, and the *enclosure* property of interval transformers.
 
-use fannet_numeric::{Fixed, FloatInterval, Interval, Rational, Scalar};
+use fannet_numeric::{FloatInterval, Interval, Rational, Scalar};
 use proptest::prelude::*;
 
 /// Rationals with numerator/denominator small enough that products of a few
@@ -111,33 +111,6 @@ proptest! {
     }
 
     #[test]
-    fn fixed_add_matches_rational_when_unsaturated(
-        a in -1.0e6f64..1.0e6, b in -1.0e6f64..1.0e6
-    ) {
-        let fa = Fixed::from_f64(a);
-        let fb = Fixed::from_f64(b);
-        let exact = fa.to_rational() + fb.to_rational();
-        prop_assert_eq!((fa + fb).to_rational(), exact);
-    }
-
-    #[test]
-    fn fixed_mul_error_within_half_ulp(a in -1.0e3f64..1.0e3, b in -1.0e3f64..1.0e3) {
-        let fa = Fixed::from_f64(a);
-        let fb = Fixed::from_f64(b);
-        let approx = (fa * fb).to_rational();
-        let exact = fa.to_rational() * fb.to_rational();
-        let ulp = Rational::new(1, 1i128 << 32);
-        prop_assert!((approx - exact).abs() <= ulp * Rational::new(1, 2) + ulp);
-    }
-
-    #[test]
-    fn fixed_order_embedding(a in -1.0e6f64..1.0e6, b in -1.0e6f64..1.0e6) {
-        let fa = Fixed::from_f64(a);
-        let fb = Fixed::from_f64(b);
-        prop_assert_eq!(fa.cmp(&fb), fa.to_rational().cmp(&fb.to_rational()));
-    }
-
-    #[test]
     fn interval_add_encloses(
         (al, aw) in (small_rational(), small_rational()),
         (bl, bw) in (small_rational(), small_rational()),
@@ -237,7 +210,5 @@ proptest! {
         let expected = v.max(0.0);
         prop_assert_eq!(Scalar::relu(v), expected);
         prop_assert_eq!(Rational::from_f64_exact(v).unwrap().relu().to_f64(), expected);
-        let fx = Fixed::from_f64(v);
-        prop_assert_eq!(Scalar::relu(fx), fx.max(Fixed::ZERO));
     }
 }

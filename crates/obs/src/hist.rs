@@ -1,4 +1,4 @@
-//! Fixed log2-bucket latency histograms (DESIGN.md §14).
+//! Latency histograms over 64 log2 buckets (DESIGN.md §14).
 //!
 //! Bucket `0` holds exactly the value `0`; bucket `b ≥ 1` holds the
 //! values `[2^(b-1), 2^b - 1]`, with the last bucket absorbing

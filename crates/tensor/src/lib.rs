@@ -3,8 +3,7 @@
 //! Minimal dense linear algebra for the FANNet (DATE 2020) reproduction:
 //! row-major [`Matrix`] and slice-based [`vector`] helpers, generic over the
 //! [`fannet_numeric::Scalar`] abstraction so that the same network code runs
-//! with `f64` (training), `Rational` (exact verification) and `Fixed`
-//! (deployment simulation) elements.
+//! with `f64` (training) and `Rational` (exact verification) elements.
 //!
 //! The case-study networks are tiny, so the implementation optimizes for
 //! checked shapes and auditability rather than BLAS-level throughput.

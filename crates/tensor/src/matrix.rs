@@ -2,8 +2,8 @@
 //!
 //! The FANNet case-study networks are tiny (5–20–2), so this module favours
 //! clarity and checked shapes over cache blocking. Everything is generic
-//! over the scalar type so the same code path serves `f64` training,
-//! exact-`Rational` verification and `Fixed` deployment simulation.
+//! over the scalar type so the same code path serves `f64` training and
+//! exact-`Rational` verification.
 
 use std::fmt;
 

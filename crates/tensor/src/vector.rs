@@ -123,8 +123,8 @@ pub fn sum<S: Scalar>(a: &[S]) -> S {
     a.iter().fold(S::zero(), |acc, x| acc + *x)
 }
 
-/// Converts a slice between scalar types via `f64` (training → deployment
-/// paths; exact quantization uses dedicated functions in `fannet-nn`).
+/// Converts a slice between scalar types via `f64` (exact quantization uses
+/// dedicated functions in `fannet-nn`).
 #[must_use]
 pub fn convert<A: Scalar, B: Scalar>(a: &[A]) -> Vec<B> {
     a.iter().map(|x| B::from_f64(x.to_f64())).collect()

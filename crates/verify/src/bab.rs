@@ -498,8 +498,8 @@ pub fn find_counterexample_with(
 }
 
 /// Exhaustive grid enumeration of the same property — exponentially slower
-/// but trivially correct. Exists as the baseline for the checker-ablation
-/// bench (A2) and as a cross-check oracle in tests. It enumerates in the
+/// but trivially correct. Exists as the baseline of `repro`'s A2 ablation
+/// and as a cross-check oracle in tests. It enumerates in the
 /// canonical split-tree order ([`NoiseRegion::iter_points`]), so its
 /// witness is the branch-and-bound's.
 ///

@@ -1,7 +1,5 @@
 //! Noise-tolerance deep dive (paper §V-C.1/2): per-input robustness radii,
-//! the Fig. 4 misclassification sweep, boundary analysis, and a
-//! fixed-point-vs-exact comparison showing why the verifier works over
-//! rationals.
+//! the Fig. 4 misclassification sweep and boundary analysis.
 //!
 //! ```text
 //! cargo run --release --example noise_tolerance
@@ -10,8 +8,6 @@
 use fannet::core::behavior;
 use fannet::core::casestudy::{build, CaseStudyConfig};
 use fannet::core::{boundary, tolerance};
-use fannet::nn::quantize;
-use fannet::numeric::Scalar;
 
 fn main() {
     let cs = build(&CaseStudyConfig::paper());
@@ -56,26 +52,5 @@ fn main() {
     println!(
         "margin/radius concordance: {:.2} (1.0 = identical orderings)",
         bd.margin_radius_concordance()
-    );
-
-    // --- deployment datapath check ----------------------------------------
-    // The Q32.32 fixed-point network is what an embedded deployment would
-    // run; verify it agrees with the exact model on the test set.
-    let fixed_net = quantize::to_fixed(&cs.float_net);
-    let mut disagreements = 0;
-    for (sample, _) in cs.test5.iter() {
-        let fx: Vec<fannet::numeric::Fixed> = sample.iter().map(|&v| Scalar::from_f64(v)).collect();
-        let fixed_label = fixed_net.classify(&fx).expect("widths match");
-        let exact_label = cs
-            .exact_net
-            .classify(&behavior::rational_input(sample))
-            .expect("widths match");
-        if fixed_label != exact_label {
-            disagreements += 1;
-        }
-    }
-    println!(
-        "\nQ32.32 deployment datapath vs exact model: {disagreements}/{} disagreements",
-        cs.test5.len()
     );
 }

@@ -8,16 +8,21 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`numeric`] | `fannet-numeric` | exact rationals, Q32.32 fixed point, interval arithmetic, the `Scalar` abstraction |
+//! | [`numeric`] | `fannet-numeric` | exact rationals, exact and outward-rounded `f64` intervals, affine forms, the `Scalar` abstraction |
 //! | [`tensor`] | `fannet-tensor` | dense matrices/vectors generic over `Scalar` |
 //! | [`nn`] | `fannet-nn` | feed-forward networks, training (paper's two-phase schedule), quantization, model I/O |
 //! | [`data`] | `fannet-data` | synthetic Golub leukemia dataset, normalization, mRMR feature selection |
 //! | [`smv`] | `fannet-smv` | SMV-subset front end, NN→SMV translation, explicit-state model checking, Fig. 3 state-space accounting |
 //! | [`verify`] | `fannet-verify` | exact branch-and-bound decision procedure over integer-percent noise regions |
-//! | [`faults`] | `fannet-faults` | weight-fault & quantization robustness: interval-weight propagation, fault-space branch-and-bound, fault-tolerance search |
+//! | [`faults`] | `fannet-faults` | the joint input×weight product domain, and weight-fault & quantization robustness as its zero-noise-box case |
 //! | [`engine`] | `fannet-engine` | persistent query engine: subsumption-aware verdict cache, incremental tolerance search, batch/JSONL serving |
 //! | [`server`] | `fannet-server` | concurrent serving front end: TCP listener, bounded-queue backpressure, per-connection response ordering, graceful drain |
 //! | [`core`] | `fannet-core` | the FANNet methodology: P1/P2/P3, noise tolerance, adversarial extraction, bias, sensitivity, boundary analysis |
+//!
+//! The workspace's other crates are not re-exported: `fannet-search` (the
+//! domain-generic branch-and-bound core), `fannet-obs` (logging, latency
+//! histograms, spans) and `fannet-bench` (the `repro` experiment
+//! regenerator).
 //!
 //! ## Quickstart
 //!
@@ -39,8 +44,10 @@
 //! println!("noise tolerance: ±{}%", report.noise_tolerance());
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `DESIGN.md`/`EXPERIMENTS.md`
-//! for the experiment-by-experiment reproduction map.
+//! See `examples/` for runnable scenarios and `DESIGN.md` for the design.
+//! `repro`'s text output (`cargo run --release -p fannet-bench --bin repro`)
+//! regenerates every paper experiment next to the paper's value, and
+//! `tests/paper_numbers.rs` pins the measured numbers.
 
 pub use fannet_core as core;
 pub use fannet_data as data;

@@ -2,8 +2,8 @@
 //!
 //! The Fig. 3 accounting must match the paper *exactly* (it is a property
 //! of the modelling); the case-study numbers are pinned to the values
-//! recorded in EXPERIMENTS.md so that any drift in dataset, training or
-//! verification is caught immediately.
+//! `repro` prints so that any drift in dataset, training or verification
+//! is caught immediately.
 //!
 //! The full-size case study takes a few seconds to build and analyse; this
 //! file is the slowest part of the integration suite by design.
@@ -52,11 +52,11 @@ fn paper_case_study_headline_numbers() {
     );
 
     // §V-C.1: the paper's noise tolerance is ±11%; this reproduction's
-    // trained network measures the same (EXPERIMENTS.md, E4).
+    // trained network measures the same (`repro`, E4–E8).
     assert_eq!(
         report.noise_tolerance(),
         11,
-        "EXPERIMENTS.md pins tolerance at ±11%"
+        "tolerance must stay ±11%, the paper's value and `repro`'s"
     );
 
     // §V-C.3: all extracted misclassifications flow L0 → L1.
